@@ -56,10 +56,8 @@ from .models import (
     MlpModel,
     TrainConfig,
     fit_least_squares,
-    mlp_forward,
     mlp_gradient,
     mlp_new,
-    predict_linear,
     train_mlp,
 )
 from .profiles import (
@@ -68,7 +66,6 @@ from .profiles import (
     ProfileCatalog,
     ProfileStore,
     apply_mask,
-    assign_profile,
     default_catalog,
     train_on_demand,
 )

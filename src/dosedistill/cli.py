@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -57,13 +58,6 @@ SEED_HELP = (
 )
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("DOSEDISTILL_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("DOSEDISTILL_OUT")
     if not out:
@@ -92,7 +86,7 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         v = round(start + k * step, 10)
         if v > stop + 1e-12:
             break
-        values.append(min(v, 1.0))
+        values.append(v)
         k += 1
     return tuple(values)
 
@@ -109,8 +103,10 @@ def _train_config(args) -> TrainConfig:
 
 
 def _distill_config(args) -> DistillationConfig:
+    """The run's grid; ``train --lambda X`` is the one-point grid (X,)."""
+    lam = getattr(args, "lam", None)
     return DistillationConfig(
-        lambda_grid=_parse_grid(args.grid),
+        lambda_grid=_parse_grid(args.grid) if lam is None else (lam,),
         privileged_inputs=PrivilegedInputs(args.privileged_inputs),
         train=_train_config(args),
     )
@@ -134,9 +130,8 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    help="imitation-weight grid, start:stop:step or comma list")
     p.add_argument("--privileged-inputs", default="all_features",
                    choices=[m.value for m in PrivilegedInputs])
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="parallel grid/run workers (outputs are identical "
-                        "regardless of jobs)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
 
 
 def _run_config_obj(args, command: str) -> dict:
@@ -269,45 +264,33 @@ def _cmd_profiles_list(args) -> int:
     return EXIT_OK
 
 
-def _train_bundles(args, profile_names):
+def _fit_profiles(args):
+    """Sweep the grid for each requested profile: (pack, bundles, grid points)."""
+    config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
     train, valid = split_cohorts(records, catalog, args.ratio, args.seed)
-    config = _distill_config(args)
-    profiles = _resolve_profiles(catalog, profile_names)
-
-    bundles, sweeps = [], {}
-    for profile in profiles:
+    bundles, points = [], []
+    for profile in _resolve_profiles(catalog, args.profile):
         cfg = _profile_config(config, profile)
-        if args.lam is not None:
-            from .distillation import (
-                DistilledBundle,
-                train_distilled,
-                train_privileged,
-            )
-            from .evaluation import evaluate_model
+        sweep, best = sweep_lambda(train, valid, profile, cfg)
+        points.extend((profile.name, lam, rep) for lam, rep in sweep)
+        bundles.append(best)
+    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config.train)
+    return pack, bundles, points
 
-            cfg = replace(cfg, lam=args.lam)
-            privileged = train_privileged(train, profile, cfg)
-            distilled = train_distilled(train, profile, privileged, cfg)
-            report = evaluate_model(distilled, valid, profile)
-            bundles.append(
-                DistilledBundle(
-                    profile, privileged, distilled, args.lam, report,
-                    cfg.privileged_inputs,
-                )
-            )
-        else:
-            points, best = sweep_lambda(train, valid, profile, cfg, jobs=args.jobs)
-            sweeps[profile.name] = points
-            bundles.append(best)
-    return catalog, train, valid, config, bundles, sweeps
+
+def _write_table(path: Path, header: Sequence[str], rows) -> None:
+    """A CSV with one header row; floats are written with six significant digits."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
 
 
 def _cmd_train(args) -> int:
     out = _out_dir(args)
-    names = args.profile if args.profile else None
-    catalog, train, valid, config, bundles, sweeps = _train_bundles(args, names)
-    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config.train)
+    pack, bundles, _ = _fit_profiles(args)
     serialize.save_json(out / "pack.json", pack)
     report_obj = {
         b.profile.name: {
@@ -326,44 +309,22 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _write_sweep_csv(path: Path, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["profile", "lambda", "mae", "mape", "sw", "under", "over"])
-        for profile_name, lam, rep in rows:
-            writer.writerow(
-                [
-                    profile_name,
-                    f"{lam:g}",
-                    f"{rep.mae:.6g}",
-                    f"{rep.mape:.6g}",
-                    f"{rep.safety.within_pct:.6g}",
-                    f"{rep.safety.under_pct:.6g}",
-                    f"{rep.safety.over_pct:.6g}",
-                ]
-            )
-
-
 def _cmd_sweep(args) -> int:
     out = _out_dir(args)
-    catalog, records = load_and_validate(args.data, args.schema)
-    train, valid = split_cohorts(records, catalog, args.ratio, args.seed)
-    config = _distill_config(args)
-    profiles = _resolve_profiles(catalog, args.profile if args.profile else None)
-
-    csv_rows, bundles = [], []
-    for profile in profiles:
-        points, best = sweep_lambda(
-            train, valid, profile, _profile_config(config, profile), jobs=args.jobs
-        )
-        csv_rows.extend((profile.name, lam, rep) for lam, rep in points)
-        bundles.append(best)
-    _write_sweep_csv(out / "sweep.csv", csv_rows)
-    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config.train)
+    pack, bundles, points = _fit_profiles(args)
+    _write_table(
+        out / "sweep.csv",
+        ["profile", "lambda", "mae", "mape", "sw", "under", "over"],
+        (
+            [name, f"{lam:g}", rep.mae, rep.mape, rep.safety.within_pct,
+             rep.safety.under_pct, rep.safety.over_pct]
+            for name, lam, rep in points
+        ),
+    )
     serialize.save_json(out / "pack.json", pack)
     serialize.save_json(out / "run_config.json", _run_config_obj(args, "sweep"))
     print(
-        f"sweep: {len(csv_rows)} grid points over {len(profiles)} profile(s); "
+        f"sweep: {len(points)} grid points over {len(bundles)} profile(s); "
         f"CSV in {out / 'sweep.csv'}"
     )
     return EXIT_OK
@@ -376,7 +337,7 @@ def _cmd_evaluate(args) -> int:
     config = _distill_config(args)
     results = run_study(
         records, catalog, profiles, config,
-        runs=args.runs, base_seed=args.seed, ratio=args.ratio, jobs=args.jobs,
+        runs=args.runs, base_seed=args.seed, ratio=args.ratio,
     )
 
     from .evaluation import RISK_LABELS
@@ -402,29 +363,23 @@ def _cmd_evaluate(args) -> int:
     }
     serialize.save_json(out / "study.json", study_obj)
 
-    with (out / "accuracy.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "profile", "mae", "mae_std", "mape", "mape_std"])
-        for (kind, name), r in sorted(results.items()):
-            mae_m, mae_s = r.mae_mean_std
-            mape_m, mape_s = r.mape_mean_std
-            writer.writerow(
-                [kind, name, f"{mae_m:.6g}", f"{mae_s:.6g}",
-                 f"{mape_m:.6g}", f"{mape_s:.6g}"]
-            )
-    with (out / "safety.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["model", "profile", "under_pct", "within_pct", "over_pct",
-             "under_std", "within_std", "over_std"]
-        )
-        for (kind, name), r in sorted(results.items()):
-            writer.writerow(
-                [kind, name,
-                 f"{r.under_mean_std[0]:.6g}", f"{r.within_mean_std[0]:.6g}",
-                 f"{r.over_mean_std[0]:.6g}", f"{r.under_mean_std[1]:.6g}",
-                 f"{r.within_mean_std[1]:.6g}", f"{r.over_mean_std[1]:.6g}"]
-            )
+    arms = sorted(results.items())
+    _write_table(
+        out / "accuracy.csv",
+        ["model", "profile", "mae", "mae_std", "mape", "mape_std"],
+        ([kind, name, *r.mae_mean_std, *r.mape_mean_std] for (kind, name), r in arms),
+    )
+    _write_table(
+        out / "safety.csv",
+        ["model", "profile", "under_pct", "within_pct", "over_pct",
+         "under_std", "within_std", "over_std"],
+        (
+            [kind, name, r.under_mean_std[0], r.within_mean_std[0],
+             r.over_mean_std[0], r.under_mean_std[1], r.within_mean_std[1],
+             r.over_mean_std[1]]
+            for (kind, name), r in arms
+        ),
+    )
     serialize.save_json(out / "run_config.json", _run_config_obj(args, "evaluate"))
     print(
         f"evaluate: {args.runs} run(s) x {len(profiles)} profiles; "
@@ -443,6 +398,8 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
             raise DataError(f"bad disclosure item {pair!r}; expected name=value")
         name, raw = pair.split("=", 1)
         idx = catalog.index_of(name.strip())
+        if idx in values:
+            raise DataError(f"feature {name.strip()!r} is disclosed more than once")
         feat = catalog.features[idx]
         if feat.kind == "categorical":
             encoded = float(feat.encode(raw.strip()))
@@ -453,6 +410,8 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
                 raise DataError(
                     f"feature {name!r}: unparseable number {raw!r}"
                 ) from None
+            if not math.isfinite(encoded):
+                raise DataError(f"feature {name!r}: non-finite value {raw!r}")
         values[idx] = (encoded - standardizer.means[idx]) / standardizer.stds[idx]
     if not values:
         raise DataError("disclosure is empty; pass --disclose name=value,...")
@@ -551,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="append",
                    help="profile name (repeatable; default: all nine)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="fix the imitation weight instead of sweeping")
+                   help="train at this one imitation weight: a one-point "
+                        "grid that overrides --grid")
     _add_train_args(p)
     p.set_defaults(func=_cmd_train)
 

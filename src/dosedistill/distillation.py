@@ -21,7 +21,6 @@ shrinks: at weight lambda and temperature T the blended target is
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -57,8 +56,8 @@ class DistillationConfig:
         if not self.lambda_grid:
             raise ValueError("lambda grid is empty")
         grid = tuple(self.lambda_grid)
-        if any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(grid):
-            raise ValueError("lambda grid must be ascending within [0, 1]")
+        if any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(set(grid)):
+            raise ValueError("lambda grid must be strictly ascending within [0, 1]")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
@@ -144,27 +143,18 @@ def sweep_lambda(
     valid: Cohort,
     profile: Profile,
     config: DistillationConfig,
-    jobs: int = 1,
 ) -> tuple[list[tuple[float, EvalReport]], DistilledBundle]:
     """Train one model per grid value against a shared privileged model.
 
-    Returns every (lambda, validation report) point plus the bundle with the
-    lowest validation MAE; ties go to the smaller lambda. The lambda = 0
-    point doubles as the partially-redacted baseline.
+    Returns every (lambda, validation report) point in grid order plus the
+    bundle with the lowest validation MAE; ties go to the smaller lambda. The
+    lambda = 0 point doubles as the partially-redacted baseline.
     """
     privileged = train_privileged(train, profile, config)
-
-    def one(lam: float) -> tuple[float, MlpModel, EvalReport]:
+    rows = []
+    for lam in config.lambda_grid:
         model = train_distilled(train, profile, privileged, replace(config, lam=lam))
-        return lam, model, evaluate_model(model, valid, profile)
-
-    grid = list(config.lambda_grid)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(lam) for lam in grid]
-    rows.sort(key=lambda r: r[0])
+        rows.append((lam, model, evaluate_model(model, valid, profile)))
 
     best_lam, best_model, best_report = min(rows, key=lambda r: (r[2].mae, r[0]))
     bundle = DistilledBundle(

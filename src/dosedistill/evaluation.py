@@ -37,6 +37,11 @@ class DoseBand(Enum):
     OVER = "over"
 
 
+def _outside_window(preds, truths):
+    """(under, over) masks of the boundary-inclusive window; scalars work too."""
+    return preds < SAFETY_MARGIN_LOW * truths, preds > SAFETY_MARGIN_HIGH * truths
+
+
 def classify_dose(pred: float, truth: float) -> DoseBand:
     """Place one prediction relative to the 20% safety window.
 
@@ -45,9 +50,10 @@ def classify_dose(pred: float, truth: float) -> DoseBand:
     """
     if truth <= 0:
         raise ValueError(f"true dose must be positive, got {truth}")
-    if pred > SAFETY_MARGIN_HIGH * truth:
+    under, over = _outside_window(pred, truth)
+    if over:
         return DoseBand.OVER
-    if pred < SAFETY_MARGIN_LOW * truth:
+    if under:
         return DoseBand.UNDER
     return DoseBand.WITHIN_WINDOW
 
@@ -117,8 +123,7 @@ def mape(preds: Sequence[float], truths: Sequence[float]) -> float:
 def evaluate_predictions(preds, truths) -> EvalReport:
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
-    over = preds > SAFETY_MARGIN_HIGH * truths
-    under = preds < SAFETY_MARGIN_LOW * truths
+    under, over = _outside_window(preds, truths)
     safety = SafetyPartition(
         under=int(under.sum()),
         within=int(len(preds) - over.sum() - under.sum()),
@@ -180,7 +185,6 @@ def run_study(
     runs: int = 10,
     base_seed: int = 0,
     ratio: float = 0.65,
-    jobs: int = 1,
 ) -> dict[tuple[str, str], StudyResult]:
     """Repeated-split comparison of all four arms.
 
@@ -221,7 +225,7 @@ def run_study(
                 add("partial", profile.name, mlp_report)
                 add("distilled", profile.name, mlp_report)
                 continue
-            points, best = sweep_lambda(train, valid, profile, run_config, jobs=jobs)
+            points, best = sweep_lambda(train, valid, profile, run_config)
             add("partial", profile.name, points[0][1])
             add("distilled", profile.name, best.metrics)
 

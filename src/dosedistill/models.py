@@ -69,13 +69,6 @@ def fit_least_squares(X, y, damping: float = LSQ_DAMPING) -> LinearModel:
     return LinearModel(coef[:d], float(coef[d]))
 
 
-def predict_linear(model: LinearModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"model takes {model.dim} features, got shape {x.shape}")
-    return float(x @ model.alpha + model.beta)
-
-
 @dataclass(frozen=True)
 class MlpModel:
     """One hidden layer of rectified linear units, linear output."""
@@ -124,14 +117,6 @@ def mlp_new(d: int, hidden: int = 32, seed: int = 0) -> MlpModel:
         w2=rng.uniform(-lim2, lim2, size=hidden),
         b2=0.0,
     )
-
-
-def mlp_forward(model: MlpModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"model takes {model.dim} features, got shape {x.shape}")
-    h = np.maximum(model.W1 @ x + model.b1, 0.0)
-    return float(h @ model.w2 + model.b2)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ prediction can never require a withheld value.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -177,33 +176,20 @@ def best_feasible(
     return best, exact
 
 
-def assign_profile(
-    catalog: ProfileCatalog, disclosure: Disclosure
-) -> tuple[Profile, bool]:
-    """Pick the stored profile whose model can run on this disclosure.
-
-    Feasible profiles are those whose visible set is contained in the
-    disclosed set; among them the one using the most features wins, ties
-    breaking by catalog order. The flag is True when the match is exact.
-    """
-    return best_feasible(catalog.profiles, disclosure)
-
-
 class ProfileStore:
-    """Profile catalog plus trained bundles, with single-writer appends."""
+    """Profile catalog plus the bundles trained on demand, keyed by disclosed set.
+
+    Nothing here is locked: share a store between threads only behind a lock.
+    """
 
     def __init__(self, catalog: "ProfileCatalog | Sequence[Profile]"):
         profiles = catalog.profiles if isinstance(catalog, ProfileCatalog) else catalog
         self._profiles = list(profiles)
         self._bundles: dict[frozenset[int], "DistilledBundle"] = {}
-        self._lock = threading.Lock()
 
     @property
     def catalog(self) -> ProfileCatalog:
         return ProfileCatalog(tuple(self._profiles))
-
-    def cached(self, disclosed: frozenset[int]) -> "DistilledBundle | None":
-        return self._bundles.get(disclosed)
 
 
 def train_on_demand(
@@ -223,31 +209,30 @@ def train_on_demand(
     from .distillation import sweep_lambda
 
     key = frozenset(disclosure.disclosed)
-    with store._lock:
-        hit = store._bundles.get(key)
-        if hit is not None:
-            return hit
+    hit = store._bundles.get(key)
+    if hit is not None:
+        return hit
 
-        d = train.catalog.d
-        bad = sorted(i for i in disclosure.disclosed if not 0 <= i < d)
-        if bad:
-            raise DataError(f"disclosure indices out of range for d={d}: {bad}")
-        redacted = frozenset(set(range(d)) - disclosure.disclosed)
-        digest = hashlib.sha256(
-            ",".join(map(str, sorted(disclosure.disclosed))).encode()
-        ).hexdigest()[:8]
-        profile = Profile(f"custom-{digest}", frozenset(), redacted, d)
+    d = train.catalog.d
+    bad = sorted(i for i in disclosure.disclosed if not 0 <= i < d)
+    if bad:
+        raise DataError(f"disclosure indices out of range for d={d}: {bad}")
+    redacted = frozenset(set(range(d)) - disclosure.disclosed)
+    digest = hashlib.sha256(
+        ",".join(map(str, sorted(disclosure.disclosed))).encode()
+    ).hexdigest()[:8]
+    profile = Profile(f"custom-{digest}", frozenset(), redacted, d)
 
-        if valid is None:
-            rng = np.random.default_rng(config.train.seed)
-            perm = rng.permutation(len(train))
-            n_eval = max(1, len(train) // 5)
-            eval_part = train.subset(np.sort(perm[:n_eval]))
-            fit_part = train.subset(np.sort(perm[n_eval:]))
-        else:
-            fit_part, eval_part = train, valid
+    if valid is None:
+        rng = np.random.default_rng(config.train.seed)
+        perm = rng.permutation(len(train))
+        n_eval = max(1, len(train) // 5)
+        eval_part = train.subset(np.sort(perm[:n_eval]))
+        fit_part = train.subset(np.sort(perm[n_eval:]))
+    else:
+        fit_part, eval_part = train, valid
 
-        _, bundle = sweep_lambda(fit_part, eval_part, profile, config)
-        store._profiles.append(profile)
-        store._bundles[key] = bundle
-        return bundle
+    _, bundle = sweep_lambda(fit_part, eval_part, profile, config)
+    store._profiles.append(profile)
+    store._bundles[key] = bundle
+    return bundle

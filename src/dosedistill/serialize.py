@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -133,21 +134,6 @@ def profile_from_obj(obj: dict) -> Profile:
     )
 
 
-def train_config_to_obj(config: TrainConfig) -> dict:
-    return {
-        "learning_rate": config.learning_rate,
-        "adam_beta1": config.adam_beta1,
-        "adam_beta2": config.adam_beta2,
-        "adam_eps": config.adam_eps,
-        "batch_size": config.batch_size,
-        "max_epochs": config.max_epochs,
-        "patience": config.patience,
-        "seed": config.seed,
-        "hidden": config.hidden,
-        "holdout_fraction": config.holdout_fraction,
-    }
-
-
 def train_config_from_obj(obj: dict) -> TrainConfig:
     return TrainConfig(**obj)
 
@@ -215,8 +201,8 @@ def pack_to_obj(catalog, standardizer, bundles, train_config) -> dict:
         "format_version": FORMAT_VERSION,
         "catalog": catalog_to_obj(catalog),
         "standardizer": standardizer_to_obj(standardizer),
-        "train_config": train_config_to_obj(train_config),
-        "train_config_digest": config_digest(train_config_to_obj(train_config)),
+        "train_config": asdict(train_config),
+        "train_config_digest": config_digest(asdict(train_config)),
         "bundles": [bundle_to_obj(b) for b in bundles],
     }
 

@@ -64,6 +64,27 @@ class TestSynthPrepare:
         assert code == 2
         assert "bad grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "0:1.5:0.5",  # runs past 1: was clamped, training lambda = 1 twice
+            "0:1.2:0.4",  # stops at 1.2: was silently clamped to 1.0
+            "0,0,0.5",  # a repeated point
+        ],
+    )
+    def test_grid_outside_unit_interval_or_repeated_is_usage_error(
+        self, tmp_path, capsys, grid
+    ):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "s"
+        code = run_command([
+            "sweep", "--data", str(data), "--schema", str(schema),
+            "--out", str(out), "--profile", "public", "--grid", grid, *FAST,
+        ])
+        assert code == 2
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestProfilesList:
     def test_table_lists_nine_profiles(self, tmp_path, capsys):
@@ -200,6 +221,49 @@ class TestTrainPredict:
         assert code == 3
 
 
+class TestDisclosureValues:
+    """A disclosure must give each feature once, as a finite number or a label."""
+
+    @pytest.fixture
+    def pack_and_row(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "m"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(out), "--profile", "public", "--grid", "0", *FAST,
+        ]) == 0
+        capsys.readouterr()
+        header, first = read_rows(data)[:2]
+        row = {
+            col: value for col, value in zip(header, first)
+            if col not in ("patient_id", "weekly_dose_mg")
+        }
+        return out / "pack.json", row
+
+    def predict(self, pack, pairs):
+        return run_command(["predict", "--model", str(pack), "--disclose", pairs])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_3_without_a_dose(
+        self, pack_and_row, capsys, value
+    ):
+        pack, row = pack_and_row
+        row["demographic_2"] = value
+        pairs = ",".join(f"{k}={v}" for k, v in row.items())
+        assert self.predict(pack, pairs) == 3
+        captured = capsys.readouterr()
+        assert "predicted weekly dose" not in captured.out
+        assert "non-finite" in captured.err and "demographic_2" in captured.err
+
+    def test_repeated_feature_exits_3_without_a_dose(self, pack_and_row, capsys):
+        pack, row = pack_and_row
+        pairs = ",".join(f"{k}={v}" for k, v in row.items()) + ",demographic_1=0.5"
+        assert self.predict(pack, pairs) == 3
+        captured = capsys.readouterr()
+        assert "predicted weekly dose" not in captured.out
+        assert "more than once" in captured.err and "demographic_1" in captured.err
+
+
 class TestFixedLambda:
     def test_train_at_fixed_lambda(self, tmp_path):
         data, schema = synth(tmp_path)
@@ -212,6 +276,22 @@ class TestFixedLambda:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["With all except genotypic"]["lambda"] == 0.7
+
+    def test_fixed_lambda_is_a_one_point_sweep(self, tmp_path):
+        data, schema = synth(tmp_path)
+        outs = {}
+        for name, weight in (("fixed", ["--lambda", "0.7", "--grid", "0,1"]),
+                             ("grid", ["--grid", "0.7"])):
+            outs[name] = tmp_path / name
+            assert run_command([
+                "train", "--data", str(data), "--schema", str(schema),
+                "--out", str(outs[name]), "--profile", "With all except genotypic",
+                *weight, *FAST,
+            ]) == 0
+        for fname in ("pack.json", "report.json"):
+            assert (outs["fixed"] / fname).read_bytes() == (
+                outs["grid"] / fname
+            ).read_bytes()
 
     def test_redacted_only_mode_handles_public_profile(self, tmp_path):
         data, schema = synth(tmp_path)

@@ -186,20 +186,20 @@ class TestSweep:
         assert models_equal(best.distilled, plain)
         assert best.metrics == points[0][1]
 
-    def test_deterministic_and_jobs_invariant(self, cohorts):
+    def test_deterministic(self, cohorts):
         catalog, train, valid = cohorts
         profiles = default_catalog(catalog)
         profile = profiles.by_name("With all except phenotypic")
         config = DistillationConfig(
             lambda_grid=(0.0, 0.5, 1.0), train=fast_train(9)
         )
-        seq_points, seq_best = sweep_lambda(train, valid, profile, config, jobs=1)
-        par_points, par_best = sweep_lambda(train, valid, profile, config, jobs=3)
-        assert [(l, r.mae) for l, r in seq_points] == [
-            (l, r.mae) for l, r in par_points
+        first_points, first_best = sweep_lambda(train, valid, profile, config)
+        again_points, again_best = sweep_lambda(train, valid, profile, config)
+        assert [(l, r.mae) for l, r in first_points] == [
+            (l, r.mae) for l, r in again_points
         ]
-        assert seq_best.lam == par_best.lam
-        assert models_equal(seq_best.distilled, par_best.distilled)
+        assert first_best.lam == again_best.lam
+        assert models_equal(first_best.distilled, again_best.distilled)
 
     def test_best_ties_to_smaller_lambda(self, cohorts):
         catalog, train, valid = cohorts

@@ -9,11 +9,9 @@ from dosedistill.models import (
     MlpModel,
     TrainConfig,
     fit_least_squares,
-    mlp_forward,
     mlp_gradient,
     mlp_new,
     models_equal,
-    predict_linear,
     train_mlp,
 )
 from dosedistill.serialize import model_from_obj, model_to_obj
@@ -64,11 +62,11 @@ class TestLeastSquares:
     def test_predict_linear_cases(self):
         from dosedistill.models import LinearModel
 
-        assert predict_linear(LinearModel(np.array([2.0]), 0.0), [3.0]) == 6.0
-        assert predict_linear(LinearModel(np.zeros(3), 5.5), [9, 9, 9]) == 5.5
-        assert predict_linear(LinearModel(np.array([1.0, -1.0]), 1.0), [2, 2]) == 1.0
+        assert LinearModel(np.array([2.0]), 0.0).predict([[3.0]])[0] == 6.0
+        assert LinearModel(np.zeros(3), 5.5).predict([[9, 9, 9]])[0] == 5.5
+        assert LinearModel(np.array([1.0, -1.0]), 1.0).predict([[2, 2]])[0] == 1.0
         with pytest.raises(ValueError):
-            predict_linear(LinearModel(np.array([1.0]), 0.0), [1.0, 2.0])
+            LinearModel(np.array([1.0]), 0.0).predict([[1.0, 2.0]])
 
 
 class TestMlpBasics:
@@ -85,19 +83,19 @@ class TestMlpBasics:
 
     def test_forward_zero_params(self):
         m = MlpModel(np.zeros((4, 3)), np.zeros(4), np.zeros(4), 0.0)
-        assert mlp_forward(m, [1.0, 2.0, 3.0]) == 0.0
+        assert m.predict([[1.0, 2.0, 3.0]])[0] == 0.0
 
     def test_forward_dead_unit(self):
         m = MlpModel(np.array([[1.0]]), np.array([-5.0]), np.array([1.0]), 0.0)
-        assert mlp_forward(m, [3.0]) == 0.0
+        assert m.predict([[3.0]])[0] == 0.0
 
     def test_forward_active_unit(self):
         m = MlpModel(np.array([[1.0]]), np.array([0.0]), np.array([2.0]), 1.0)
-        assert mlp_forward(m, [3.0]) == 7.0
+        assert m.predict([[3.0]])[0] == 7.0
 
     def test_forward_dim_check(self):
         with pytest.raises(ValueError):
-            mlp_forward(mlp_new(3, 2, 0), [1.0, 2.0])
+            mlp_new(3, 2, 0).predict([[1.0, 2.0]])
 
 
 class TestGradient:

@@ -16,7 +16,7 @@ from dosedistill.profiles import (
     Profile,
     ProfileStore,
     apply_mask,
-    assign_profile,
+    best_feasible,
     default_catalog,
     train_on_demand,
 )
@@ -109,12 +109,12 @@ class TestApplyMask:
 class TestAssignment:
     def test_full_disclosure_is_public_exact(self, warf_catalog):
         profiles = default_catalog(warf_catalog)
-        profile, exact = assign_profile(profiles, disclosure_of(range(8)))
+        profile, exact = best_feasible(profiles, disclosure_of(range(8)))
         assert profile.name == "Public patient" and exact
 
     def test_all_but_genotypic_exact(self, warf_catalog):
         profiles = default_catalog(warf_catalog)
-        profile, exact = assign_profile(profiles, disclosure_of(range(6)))
+        profile, exact = best_feasible(profiles, disclosure_of(range(6)))
         assert profile.name == "With all except genotypic" and exact
 
     def test_pheno_plus_geno_falls_back_to_larger_usable_set(self, warf_catalog):
@@ -128,14 +128,14 @@ class TestAssignment:
         ]
         expected = max(feasible, key=lambda p: len(p.visible_features))
 
-        profile, exact = assign_profile(profiles, disclosure)
+        profile, exact = best_feasible(profiles, disclosure)
         assert profile.name == expected.name == "Genotypic except others"
         assert not exact
 
     def test_no_feasible_profile_raises(self, warf_catalog):
         profiles = default_catalog(warf_catalog)
         with pytest.raises(NoFeasibleProfileError):
-            assign_profile(profiles, disclosure_of([0]))  # race alone fits nothing
+            best_feasible(profiles, disclosure_of([0]))  # race alone fits nothing
 
     def test_empty_disclosure_rejected(self):
         with pytest.raises(DataError):
@@ -153,7 +153,7 @@ def test_assignment_never_needs_withheld_feature(subset):
     profiles = default_catalog(catalog)
     disclosure = disclosure_of(subset)
     try:
-        profile, exact = assign_profile(profiles, disclosure)
+        profile, exact = best_feasible(profiles, disclosure)
     except NoFeasibleProfileError:
         return
     assert set(profile.visible_features) <= disclosure.disclosed
@@ -167,7 +167,7 @@ def test_exact_mask_disclosures_return_exact(data):
     catalog = make_catalog(8, categories=WARF_CATS, names=WARF_NAMES)
     profiles = default_catalog(catalog)
     profile = data.draw(st.sampled_from(list(profiles.profiles)))
-    got, exact = assign_profile(profiles, disclosure_of(profile.visible_features))
+    got, exact = best_feasible(profiles, disclosure_of(profile.visible_features))
     assert exact
     assert set(got.visible_features) == set(profile.visible_features)
 
