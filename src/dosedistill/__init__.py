@@ -7,15 +7,14 @@ so predictions never require withheld data.
 
 from .dataset import (
     Cohort,
+    EncodedRows,
     Feature,
     FeatureCatalog,
     FeatureCategory,
-    PatientRecord,
-    RawRecord,
     StandardizationParams,
-    encode_and_standardize,
     load_and_validate,
     split_cohorts,
+    standardize,
 )
 from .distillation import (
     DistillationConfig,

@@ -22,10 +22,11 @@ from .dataset import (
     Feature,
     FeatureCatalog,
     FeatureCategory,
+    _parse_schema,
     cohort_to_csv,
-    encode_and_standardize,
     load_and_validate,
     split_cohorts,
+    standardize,
 )
 from .distillation import (
     DistillationConfig,
@@ -67,6 +68,9 @@ def _out_dir(args) -> Path:
     return path
 
 
+MAX_GRID_POINTS = 1001  # a 0.001 step over [0, 1]
+
+
 def _parse_grid(spec: str) -> tuple[float, ...]:
     """Either 'start:stop:step' (inclusive) or a comma list of values."""
     bad = ValueError(f"bad grid {spec!r}; use start:stop:step or comma-separated values")
@@ -78,8 +82,14 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
             return tuple(sorted(float(v) for v in spec.split(",")))
     except ValueError:
         raise bad from None
-    if step <= 0:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
         raise bad
+    if start < 0 or stop > 1:
+        raise ValueError(
+            f"bad grid {spec!r}: the lambda grid must be strictly ascending within [0, 1]"
+        )
+    if (stop - start) / step + 1 > MAX_GRID_POINTS + 1e-9:
+        raise ValueError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:
@@ -147,14 +157,10 @@ def _run_config_obj(args, command: str) -> dict:
 def _layout_catalog(schema_path: str) -> FeatureCatalog:
     """Catalog skeleton from a schema alone (kinds flattened to numeric),
     enough to derive profile masks before any data is loaded."""
-    schema = serialize.load_json(schema_path)
-    feats = schema.get("features") or []
-    if not feats:
-        raise DataError(f"schema {schema_path}: no features")
     return FeatureCatalog(
         tuple(
             Feature(f["name"], FeatureCategory.from_label(f["category"]), "numeric")
-            for f in feats
+            for f in _parse_schema(schema_path)["features"]
         )
     )
 
@@ -199,7 +205,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_prepare(args) -> int:
     catalog, records = load_and_validate(args.data, args.schema)
-    cohort, _ = encode_and_standardize(records, catalog)
+    cohort = standardize(records, catalog)
     if args.dump_encoded:
         cohort_to_csv(cohort, args.dump_encoded)
     if args.out:

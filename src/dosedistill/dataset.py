@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -157,61 +157,54 @@ class StandardizationParams:
 
 
 @dataclass(frozen=True)
-class PatientRecord:
-    """One patient: encoded+standardized features and the weekly dose target."""
+class EncodedRows:
+    """Loader output: row ids, the encoded unstandardized n x d matrix ``M``
+    and weekly doses ``y``, one row per kept CSV row."""
 
-    id: str
-    x: np.ndarray
-    y: float
+    ids: np.ndarray
+    M: np.ndarray
+    y: np.ndarray
 
-    def __post_init__(self):
-        if self.x.ndim != 1:
-            raise DataError(f"record {self.id}: feature vector must be 1-D")
-        if not np.all(np.isfinite(self.x)) or not np.isfinite(self.y):
-            raise DataError(f"record {self.id}: non-finite value")
-        if self.y <= 0:
-            raise DataError(f"record {self.id}: dose must be positive, got {self.y}")
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, rows) -> "EncodedRows":
+        """The rows picked by an index array or a slice."""
+        return EncodedRows(self.ids[rows], self.M[rows], self.y[rows])
 
 
 @dataclass(frozen=True)
 class Cohort:
-    """Immutable set of encoded records sharing a catalog and standardizer."""
+    """Immutable standardized cohort sharing a catalog and standardizer."""
 
-    records: tuple[PatientRecord, ...]
+    ids: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
     catalog: FeatureCatalog
     standardizer: StandardizationParams
 
     def __post_init__(self):
-        for r in self.records:
-            if len(r.x) != self.catalog.d:
-                raise DataError(
-                    f"record {r.id}: dimension {len(r.x)} != catalog d {self.catalog.d}"
-                )
+        n = len(self.ids)
+        if self.y.shape != (n,) or self.X.shape != (n, self.catalog.d):
+            raise DataError(
+                f"cohort shapes disagree: {n} ids, X {self.X.shape}, y {self.y.shape}, "
+                f"catalog d {self.catalog.d}"
+            )
+        bad = ~np.isfinite(self.X).all(axis=1) | ~np.isfinite(self.y)
+        if bad.any():
+            raise DataError(f"record {self.ids[np.argmax(bad)]}: non-finite value")
+        if (self.y <= 0).any():
+            i = int(np.argmax(self.y <= 0))
+            raise DataError(f"record {self.ids[i]}: dose must be positive, got {self.y[i]}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.y)
 
-    @cached_property
-    def X(self) -> np.ndarray:
-        return np.array([r.x for r in self.records])
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return np.array([r.y for r in self.records])
-
-    def subset(self, indices: Sequence[int]) -> "Cohort":
+    def __getitem__(self, rows) -> "Cohort":
+        """The rows picked by an index array or a slice, same catalog and standardizer."""
         return Cohort(
-            tuple(self.records[i] for i in indices), self.catalog, self.standardizer
+            self.ids[rows], self.X[rows], self.y[rows], self.catalog, self.standardizer
         )
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    """One unencoded row: categorical labels as strings, numerics as floats."""
-
-    id: str
-    values: Mapping[str, str | float]
-    y: float
 
 
 def _parse_schema(schema_path: str | Path) -> dict:
@@ -220,26 +213,44 @@ def _parse_schema(schema_path: str | Path) -> dict:
         schema = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"schema file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"schema {path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"schema {path} is not valid JSON: {exc}") from None
-    if "target" not in schema or not isinstance(schema["target"], str):
+    if not isinstance(schema, dict) or not isinstance(schema.get("target"), str):
         raise DataError(f"schema {path}: missing string key 'target'")
     feats = schema.get("features")
     if not isinstance(feats, list) or not feats:
         raise DataError(f"schema {path}: 'features' must be a non-empty list")
     for f in feats:
         for key in ("name", "category", "kind"):
-            if key not in f:
-                raise DataError(f"schema {path}: feature entry missing {key!r}: {f}")
+            if not isinstance(f, dict) or not isinstance(f.get(key), str):
+                raise DataError(
+                    f"schema {path}: feature entry missing {key!r} (a string): {f}"
+                )
     unit = schema.get("target_unit", "weekly")
     if unit not in ("weekly", "daily"):
         raise DataError(f"schema {path}: target_unit must be 'weekly' or 'daily'")
     return schema
 
 
+def _number(cell: str, path: Path, lineno: int, column: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(
+            f"{path}: row {lineno}, column {column!r}: unparseable number {cell!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(
+            f"{path}: row {lineno}, column {column!r}: non-finite value {cell!r}"
+        )
+    return value
+
+
 def load_and_validate(
     data_path: str | Path, schema_path: str | Path
-) -> tuple[FeatureCatalog, list[RawRecord]]:
+) -> tuple[FeatureCatalog, EncodedRows]:
     """Read a CSV against its schema manifest.
 
     Rows with a missing target or missing feature values are dropped (the
@@ -267,118 +278,90 @@ def load_and_validate(
         raise DataError(f"data file not found: {path}") from None
 
     expected = set(feature_names) | {target_col} | ({id_col} if id_col else set())
-    records: list[RawRecord] = []
+    ids: list[str] = []
+    ys: list[float] = []
+    columns: list[list] = [[] for _ in declared]
     dropped_target = 0
     dropped_missing = 0
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file (no header row)")
-        present = set(reader.fieldnames)
-        unknown = sorted(present - expected)
-        if unknown:
-            raise DataError(f"{path}: unknown column(s) not in schema: {unknown}")
-        missing = sorted(expected - present)
-        if missing:
-            raise DataError(f"{path}: column(s) declared in schema but missing: {missing}")
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file (no header row)")
+            present = set(header)
+            unknown = sorted(present - expected)
+            if unknown:
+                raise DataError(f"{path}: unknown column(s) not in schema: {unknown}")
+            missing = sorted(expected - present)
+            if missing:
+                raise DataError(f"{path}: column(s) declared in schema but missing: {missing}")
 
-        for lineno, row in enumerate(reader, start=2):
-            raw_target = (row.get(target_col) or "").strip()
-            if not raw_target:
-                dropped_target += 1
-                continue
-            try:
-                y = float(raw_target)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {lineno}, column {target_col!r}: "
-                    f"unparseable number {raw_target!r}"
-                ) from None
-            if not math.isfinite(y):
-                raise DataError(
-                    f"{path}: row {lineno}, column {target_col!r}: "
-                    f"non-finite value {raw_target!r}"
-                )
-            if y <= 0:
-                raise DataError(
-                    f"{path}: row {lineno}, column {target_col!r}: "
-                    f"dose must be positive, got {raw_target}"
-                )
-            values: dict[str, str | float] = {}
-            complete = True
-            for name, _, kind in declared:
-                cell = (row.get(name) or "").strip()
-                if not cell:
-                    complete = False
-                    break
-                if kind == KIND_NUMERIC:
-                    try:
-                        parsed = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {lineno}, column {name!r}: "
-                            f"unparseable number {cell!r}"
-                        ) from None
-                    if not math.isfinite(parsed):
-                        raise DataError(
-                            f"{path}: row {lineno}, column {name!r}: "
-                            f"non-finite value {cell!r}"
-                        )
-                    values[name] = parsed
+            # a repeated header name reads its last column, as csv.DictReader does
+            where = {name: i for i, name in enumerate(header)}
+            target_at = where[target_col]
+            id_at = where[id_col] if id_col else None
+            cells = [(name, where[name], kind == KIND_NUMERIC) for name, _, kind in declared]
+            blank = [""] * len(header)
+            lineno = 1
+            for row in reader:
+                if not row:  # blank lines are skipped and not counted
+                    continue
+                lineno += 1
+                if len(row) < len(header):  # a short row reads as blank cells
+                    row += blank[len(row):]
+                raw_target = row[target_at].strip()
+                if not raw_target:
+                    dropped_target += 1
+                    continue
+                y = _number(raw_target, path, lineno, target_col)
+                if y <= 0:
+                    raise DataError(
+                        f"{path}: row {lineno}, column {target_col!r}: "
+                        f"dose must be positive, got {raw_target}"
+                    )
+                values = []
+                for name, at, numeric in cells:
+                    cell = row[at].strip()
+                    if not cell:
+                        dropped_missing += 1
+                        break
+                    values.append(_number(cell, path, lineno, name) if numeric else cell)
                 else:
-                    values[name] = cell
-            if not complete:
-                dropped_missing += 1
-                continue
-            rec_id = (row.get(id_col) or "").strip() if id_col else ""
-            records.append(RawRecord(rec_id or f"row{lineno}", values, y * dose_scale))
+                    for column, value in zip(columns, values):
+                        column.append(value)
+                    ids.append((row[id_at].strip() if id_at is not None else "") or f"row{lineno}")
+                    ys.append(y * dose_scale)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not valid UTF-8: {exc}") from None
 
     if dropped_target or dropped_missing:
         log.info(
             "%s: dropped %d row(s) with missing target, %d with missing features",
             path, dropped_target, dropped_missing,
         )
-    if not records:
+    if not ys:
         raise DataError(f"{path}: no usable rows after validation")
 
     features = []
-    for name, category, kind in declared:
+    M = np.empty((len(ys), len(declared)))
+    for j, ((name, category, kind), column) in enumerate(zip(declared, columns)):
         if kind == KIND_CATEGORICAL:
-            labels = sorted({str(r.values[name]) for r in records})
-            encoding = {label: code for code, label in enumerate(labels)}
+            encoding = {label: code for code, label in enumerate(sorted(set(column)))}
             features.append(Feature(name, category, kind, encoding))
+            M[:, j] = [encoding[label] for label in column]
         else:
             features.append(Feature(name, category, kind))
-    return FeatureCatalog(tuple(features)), records
+            M[:, j] = column
+    rows = EncodedRows(np.array(ids, dtype=object), M, np.array(ys))
+    return FeatureCatalog(tuple(features)), rows
 
 
-def encode_records(records: Sequence[RawRecord], catalog: FeatureCatalog) -> np.ndarray:
-    """Map raw records to the unstandardized numeric matrix (n x d)."""
-    if not records:
-        raise DataError("cannot encode an empty record list")
-    m = np.empty((len(records), catalog.d))
-    for i, rec in enumerate(records):
-        for j, feat in enumerate(catalog.features):
-            if feat.name not in rec.values:
-                raise DataError(f"record {rec.id}: missing feature {feat.name!r}")
-            v = rec.values[feat.name]
-            if feat.kind == KIND_CATEGORICAL:
-                m[i, j] = feat.encode(str(v))
-            else:
-                m[i, j] = float(v)
-    if not np.all(np.isfinite(m)):
-        raise DataError("encoded matrix contains non-finite values")
-    return m
-
-
-def fit_standardizer(
-    m: np.ndarray, catalog: FeatureCatalog, fit_on: Sequence[bool] | None = None
-) -> StandardizationParams:
-    rows = m if fit_on is None else m[np.asarray(fit_on, dtype=bool)]
-    if rows.shape[0] == 0:
+def fit_standardizer(m: np.ndarray, catalog: FeatureCatalog) -> StandardizationParams:
+    if m.shape[0] == 0:
         raise DataError("standardizer fit subset is empty")
-    means = rows.mean(axis=0)
-    stds = rows.std(axis=0)  # population std
+    means = m.mean(axis=0)
+    stds = m.std(axis=0)  # population std
     zero = np.flatnonzero(stds <= 0)
     if zero.size:
         names = [catalog.features[j].name for j in zero]
@@ -386,30 +369,23 @@ def fit_standardizer(
     return StandardizationParams(means, stds)
 
 
-def encode_and_standardize(
-    records: Sequence[RawRecord],
+def standardize(
+    rows: EncodedRows,
     catalog: FeatureCatalog,
-    fit_on: Sequence[bool] | None = None,
     params: StandardizationParams | None = None,
-) -> tuple[Cohort, StandardizationParams]:
-    """Encode labels through the catalog and shift/scale every column.
+) -> Cohort:
+    """Shift and scale every column of ``rows`` into a cohort.
 
-    Parameters are fit on the rows flagged by ``fit_on`` (all rows when
-    omitted) unless ready-made ``params`` are supplied, e.g. to transform a
-    validation cohort with training-cohort statistics.
+    Parameters are fit on ``rows`` unless ready-made ``params`` are supplied,
+    e.g. to transform a validation cohort with training-cohort statistics.
     """
-    m = encode_records(records, catalog)
     if params is None:
-        params = fit_standardizer(m, catalog, fit_on)
-    x = params.transform(m)
-    encoded = tuple(
-        PatientRecord(rec.id, x[i], rec.y) for i, rec in enumerate(records)
-    )
-    return Cohort(encoded, catalog, params), params
+        params = fit_standardizer(rows.M, catalog)
+    return Cohort(rows.ids, params.transform(rows.M), rows.y, catalog, params)
 
 
 def split_cohorts(
-    records: Sequence[RawRecord],
+    records: EncodedRows,
     catalog: FeatureCatalog,
     ratio: float,
     seed: int,
@@ -426,12 +402,8 @@ def split_cohorts(
         raise DataError(f"need at least 2 records to split, got {n}")
     n_train = min(max(int(round(ratio * n)), 1), n - 1)
     perm = np.random.default_rng(seed).permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    valid_idx = np.sort(perm[n_train:])
-    train, params = encode_and_standardize([records[i] for i in train_idx], catalog)
-    valid, _ = encode_and_standardize(
-        [records[i] for i in valid_idx], catalog, params=params
-    )
+    train = standardize(records[np.sort(perm[:n_train])], catalog)
+    valid = standardize(records[np.sort(perm[n_train:])], catalog, train.standardizer)
     return train, valid
 
 
@@ -440,5 +412,5 @@ def cohort_to_csv(cohort: Cohort, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", *cohort.catalog.names, "weekly_dose_mg"])
-        for rec in cohort.records:
-            writer.writerow([rec.id, *(f"{v:.10g}" for v in rec.x), f"{rec.y:.10g}"])
+        for rec_id, x, y in zip(cohort.ids, cohort.X, cohort.y):
+            writer.writerow([rec_id, *(f"{v:.10g}" for v in x), f"{y:.10g}"])

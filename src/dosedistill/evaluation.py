@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import Cohort, FeatureCatalog, RawRecord, split_cohorts
+from .dataset import Cohort, EncodedRows, FeatureCatalog, split_cohorts
 from .models import fit_least_squares, train_mlp
 from .profiles import Profile, ProfileCatalog
 
@@ -178,7 +178,7 @@ class StudyResult:
 
 
 def run_study(
-    records: Sequence[RawRecord],
+    records: EncodedRows,
     catalog: FeatureCatalog,
     profile_catalog: ProfileCatalog,
     config: "DistillationConfig",

@@ -227,8 +227,8 @@ def train_on_demand(
         rng = np.random.default_rng(config.train.seed)
         perm = rng.permutation(len(train))
         n_eval = max(1, len(train) // 5)
-        eval_part = train.subset(np.sort(perm[:n_eval]))
-        fit_part = train.subset(np.sort(perm[n_eval:]))
+        eval_part = train[np.sort(perm[:n_eval])]
+        fit_part = train[np.sort(perm[n_eval:])]
     else:
         fit_part, eval_part = train, valid
 

@@ -208,16 +208,27 @@ def pack_to_obj(catalog, standardizer, bundles, train_config) -> dict:
 
 
 def pack_from_obj(obj: dict):
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise DataError(
-            f"unsupported model file version {obj.get('format_version')!r}"
+    """Decode a pack; anything but what ``pack_to_obj`` writes is a DataError.
+
+    The decoded parts are encoded again and must give back ``obj`` itself, so
+    a missing, extra or inconsistent key is rejected as well as a bad value.
+    """
+    version = obj.get("format_version") if isinstance(obj, dict) else None
+    if version != FORMAT_VERSION:
+        raise DataError(f"unsupported model file version {version!r}")
+    try:
+        parts = (
+            catalog_from_obj(obj["catalog"]),
+            standardizer_from_obj(obj["standardizer"]),
+            [bundle_from_obj(b) for b in obj["bundles"]],
+            train_config_from_obj(obj["train_config"]),
         )
-    return (
-        catalog_from_obj(obj["catalog"]),
-        standardizer_from_obj(obj["standardizer"]),
-        [bundle_from_obj(b) for b in obj["bundles"]],
-        train_config_from_obj(obj["train_config"]),
-    )
+        canonical = pack_to_obj(*parts) == obj
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model pack: {type(exc).__name__}: {exc}") from None
+    if not canonical:
+        raise DataError("malformed model pack: it is not what its decoded parts encode to")
+    return parts
 
 
 def save_json(path: str | Path, obj: Any) -> None:
@@ -231,5 +242,7 @@ def load_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None

@@ -7,11 +7,11 @@ import pytest
 
 from dosedistill.dataset import (
     Cohort,
+    EncodedRows,
     Feature,
     FeatureCatalog,
     FeatureCategory,
-    RawRecord,
-    encode_and_standardize,
+    standardize,
 )
 from dosedistill.synthetic import SyntheticSpec, generate_synthetic, write_dataset
 
@@ -34,12 +34,14 @@ def make_cohort(X, y, categories=None, names=None) -> Cohort:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     catalog = make_catalog(X.shape[1], categories, names)
-    records = [
-        RawRecord(f"r{i}", {f.name: X[i, j] for j, f in enumerate(catalog.features)}, y[i])
-        for i in range(X.shape[0])
-    ]
-    cohort, _ = encode_and_standardize(records, catalog)
-    return cohort
+    return standardize(make_rows(X, y), catalog)
+
+
+def make_rows(M, y) -> EncodedRows:
+    """Loader-shaped rows with ids r0, r1, ... over an encoded matrix."""
+    M = np.asarray(M, dtype=float)
+    ids = np.array([f"r{i}" for i in range(M.shape[0])], dtype=object)
+    return EncodedRows(ids, M, np.asarray(y, dtype=float))
 
 
 def write_synth(tmp_path, spec: SyntheticSpec, seed: int):

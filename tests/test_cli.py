@@ -57,12 +57,30 @@ class TestSynthPrepare:
 
     def test_bad_grid_is_usage_error(self, tmp_path, capsys):
         data, schema = synth(tmp_path)
-        code = run_command([
-            "sweep", "--data", str(data), "--schema", str(schema),
-            "--out", str(tmp_path / "s"), "--grid", "zero-to-one", *FAST,
-        ])
-        assert code == 2
-        assert "bad grid" in capsys.readouterr().err
+        # non-finite or too-fine ranges must fail before the range is built
+        for grid in ("zero-to-one", "0:nan:0.1", "nan:1:0.1", "0:1:nan", "0:inf:0.1",
+                     "-0.5:1:0.1", "0:2:0.1", "0:1:0", "0:1:0.0009", "0:1:1e-300"):
+            code = run_command([
+                "sweep", "--data", str(data), "--schema", str(schema),
+                "--out", str(tmp_path / "s"), f"--grid={grid}", *FAST,
+            ])
+            assert code == 2, grid
+            assert "bad grid" in capsys.readouterr().err, grid
+
+    @pytest.mark.parametrize("bad_file", ["data", "schema", "pack"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, bad_file):
+        data, schema = synth(tmp_path)
+        pack = tmp_path / "pack.json"
+        pack.write_text('{"format_version": 1}')
+        bad = {"data": data, "schema": schema, "pack": pack}[bad_file]
+        bad.write_bytes(bad.read_bytes().replace(b"1", b"\xe9", 1))
+        if bad_file == "pack":
+            argv = ["predict", "--model", str(pack), "--disclose", "demographic_0=1"]
+        else:
+            argv = ["prepare", "--data", str(data), "--schema", str(schema)]
+        assert run_command(argv) == 3
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and bad.name in err
 
     @pytest.mark.parametrize(
         "grid",
@@ -95,6 +113,19 @@ class TestProfilesList:
         assert "With all except genotypic" in out
         assert "Genotypic except others" in out
         assert out.count("✓") + out.count("✗") == 36  # 9 profiles x 4
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"name": "a", "kind": "numeric"}, "category"),
+        ({"name": "a", "category": 5, "kind": "numeric"}, "category"),
+        (1, "name"),
+    ])
+    def test_malformed_feature_entry_exits_3(self, tmp_path, capsys, entry, key):
+        _, schema = synth(tmp_path)
+        obj = json.loads(schema.read_text())
+        obj["features"][0] = entry
+        schema.write_text(json.dumps(obj))
+        assert run_command(["profiles", "list", "--schema", str(schema)]) == 3
+        assert f"missing {key!r}" in capsys.readouterr().err
 
 
 class TestSelectFeatures:
@@ -262,6 +293,14 @@ class TestDisclosureValues:
         captured = capsys.readouterr()
         assert "predicted weekly dose" not in captured.out
         assert "more than once" in captured.err and "demographic_1" in captured.err
+
+    def test_pack_without_standardizer_exits_3(self, pack_and_row, capsys):
+        pack, row = pack_and_row
+        obj = json.loads(pack.read_text())
+        del obj["standardizer"]
+        pack.write_text(json.dumps(obj))
+        assert self.predict(pack, ",".join(f"{k}={v}" for k, v in row.items())) == 3
+        assert "malformed model pack" in capsys.readouterr().err
 
 
 class TestFixedLambda:

@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dosedistill.dataset import (
+    Cohort,
     FeatureCategory,
-    RawRecord,
-    encode_and_standardize,
+    StandardizationParams,
     load_and_validate,
     split_cohorts,
+    standardize,
 )
 from dosedistill.errors import DataError
 from dosedistill.synthetic import (
@@ -20,7 +21,7 @@ from dosedistill.synthetic import (
     write_dataset,
 )
 
-from conftest import write_synth
+from conftest import make_catalog, make_rows, write_synth
 
 
 def write_files(tmp_path, csv_text, schema_text):
@@ -54,7 +55,7 @@ class TestLoad:
             FeatureCategory.DEMOGRAPHIC,
         ]
         assert len(records) == 3
-        assert records[0].y == 30.0
+        assert records.y[0] == 30.0
 
     def test_zero_dose_is_error_naming_row(self, tmp_path):
         data, schema = write_files(
@@ -113,7 +114,7 @@ class TestLoad:
             BASIC_SCHEMA,
         )
         _, records = load_and_validate(data, schema)
-        assert [r.y for r in records] == [30.0, 50.0]
+        assert list(records.y) == [30.0, 50.0]
 
     def test_missing_feature_rows_dropped(self, tmp_path):
         data, schema = write_files(
@@ -133,7 +134,7 @@ class TestLoad:
             tmp_path, "weight,race,weekly_dose_mg\n70,A,5\n", schema_daily
         )
         _, records = load_and_validate(data, schema)
-        assert records[0].y == 35.0
+        assert records.y[0] == 35.0
 
     def test_iwpc_shaped_export_d33(self, tmp_path):
         spec = SyntheticSpec(
@@ -151,16 +152,15 @@ class TestLoad:
         }
 
 
-def numeric_records(values, name="v"):
-    return [RawRecord(f"r{i}", {name: v}, 10.0) for i, v in enumerate(values)]
+def numeric_records(values):
+    return make_rows(np.asarray(values, dtype=float)[:, None], np.full(len(values), 10.0))
 
 
 class TestEncodeStandardize:
     def test_column_1_2_3(self):
-        from conftest import make_catalog
-
         catalog = make_catalog(1, names=["v"])
-        cohort, params = encode_and_standardize(numeric_records([1, 2, 3]), catalog)
+        cohort = standardize(numeric_records([1, 2, 3]), catalog)
+        params = cohort.standardizer
         np.testing.assert_allclose(
             cohort.X[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4
         )
@@ -168,11 +168,9 @@ class TestEncodeStandardize:
         assert params.stds[0] == pytest.approx(0.816496580927726)
 
     def test_already_standardized_column_unchanged(self):
-        from conftest import make_catalog
-
         col = [-1.224744871391589, 0.0, 1.224744871391589]
         catalog = make_catalog(1, names=["v"])
-        cohort, _ = encode_and_standardize(numeric_records(col), catalog)
+        cohort = standardize(numeric_records(col), catalog)
         np.testing.assert_allclose(cohort.X[:, 0], col, atol=1e-12)
 
     def test_categorical_codes_then_standardized(self, tmp_path):
@@ -184,7 +182,7 @@ class TestEncodeStandardize:
         catalog, records = load_and_validate(data, schema)
         race = catalog.features[1]
         assert race.encoding_map == {"A": 0, "B": 1}
-        cohort, _ = encode_and_standardize(records, catalog)
+        cohort = standardize(records, catalog)
         np.testing.assert_allclose(
             cohort.X[:, 1],
             [-0.7071067811865475, 1.414213562373095, -0.7071067811865475],
@@ -198,28 +196,21 @@ class TestEncodeStandardize:
             BASIC_SCHEMA,
         )
         catalog, _ = load_and_validate(data, schema)
-        stranger = [RawRecord("x", {"weight": 1.0, "race": "C"}, 10.0)]
         with pytest.raises(DataError, match="unseen label 'C'"):
-            encode_and_standardize(stranger, catalog)
+            catalog.features[1].encode("C")
 
     def test_zero_variance_column_rejected(self):
-        from conftest import make_catalog
-
         catalog = make_catalog(1, names=["v"])
         with pytest.raises(DataError, match="zero-variance"):
-            encode_and_standardize(numeric_records([5, 5, 5]), catalog)
+            standardize(numeric_records([5, 5, 5]), catalog)
 
     def test_fit_on_subset_only(self):
-        from conftest import make_catalog
-
         catalog = make_catalog(1, names=["v"])
-        records = numeric_records([1, 2, 3, 100])
-        cohort, params = encode_and_standardize(
-            records, catalog, fit_on=[True, True, True, False]
-        )
+        params = standardize(numeric_records([1, 2, 3]), catalog).standardizer
+        other = standardize(numeric_records([100]), catalog, params)
         assert params.means[0] == pytest.approx(2.0)
-        # the excluded row is transformed with the fitted stats
-        assert cohort.X[3, 0] == pytest.approx((100 - 2.0) / 0.816496580927726)
+        # the row outside the fit is transformed with the fitted stats
+        assert other.X[0, 0] == pytest.approx((100 - 2.0) / 0.816496580927726)
 
     def test_label_round_trip(self, small_dataset):
         catalog, _ = small_dataset
@@ -227,6 +218,43 @@ class TestEncodeStandardize:
             if feat.encoding_map:
                 for label in feat.encoding_map:
                     assert feat.decode(feat.encode(label)) == label
+
+
+class TestCohortInvariants:
+    def cohort(self, X=((1.0,), (2.0,)), y=(30.0, 40.0), ids=("a", "b")):
+        params = StandardizationParams(np.zeros(1), np.ones(1))
+        return Cohort(np.array(ids, dtype=object), np.array(X), np.array(y),
+                      make_catalog(1, names=["v"]), params)
+
+    def test_valid_cohort_accepted(self):
+        assert len(self.cohort()) == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_x_or_y_rejected(self, bad):
+        with pytest.raises(DataError, match="record b: non-finite"):
+            self.cohort(X=((1.0,), (bad,)))
+        with pytest.raises(DataError, match="record b: non-finite"):
+            self.cohort(y=(30.0, bad))
+
+    @pytest.mark.parametrize("dose", [0.0, -5.0])
+    def test_nonpositive_dose_rejected(self, dose):
+        with pytest.raises(DataError, match="record a: dose must be positive"):
+            self.cohort(y=(dose, 40.0))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"X": ((1.0,), (2.0,), (3.0,))},
+            {"X": ((1.0, 0.0), (2.0, 0.0))},
+            {"X": (1.0, 2.0)},
+            {"y": (30.0, 40.0, 50.0)},
+            {"y": ((30.0, 40.0),)},
+            {"ids": ("a",)},
+        ],
+    )
+    def test_shape_mismatch_rejected(self, change):
+        with pytest.raises(DataError, match="shapes disagree"):
+            self.cohort(**change)
 
 
 class TestSplit:
@@ -242,13 +270,11 @@ class TestSplit:
         catalog, records = small_dataset
         t1, v1 = split_cohorts(records, catalog, 0.7, seed=4)
         t2, v2 = split_cohorts(records, catalog, 0.7, seed=4)
-        assert [r.id for r in t1.records] == [r.id for r in t2.records]
-        assert [r.id for r in v1.records] == [r.id for r in v2.records]
+        assert list(t1.ids) == list(t2.ids)
+        assert list(v1.ids) == list(v2.ids)
 
     def test_ratio_half_of_four(self):
         records = numeric_records([1, 2, 3, 4])
-        from conftest import make_catalog
-
         catalog = make_catalog(1, names=["v"])
         train, valid = split_cohorts(records, catalog, 0.5, seed=0)
         assert len(train) == 2 and len(valid) == 2
@@ -256,9 +282,9 @@ class TestSplit:
     def test_partition_is_exact(self, small_dataset):
         catalog, records = small_dataset
         train, valid = split_cohorts(records, catalog, 0.65, seed=2)
-        got = sorted(r.id for r in train.records) + sorted(r.id for r in valid.records)
-        assert sorted(got) == sorted(r.id for r in records)
-        assert not set(r.id for r in train.records) & set(r.id for r in valid.records)
+        got = sorted(train.ids) + sorted(valid.ids)
+        assert sorted(got) == sorted(records.ids)
+        assert not set(train.ids) & set(valid.ids)
 
     def test_standardizer_fit_on_train_only(self, small_dataset):
         catalog, records = small_dataset
@@ -271,15 +297,11 @@ class TestSplit:
         assert np.abs(valid.X.mean(axis=0)).max() > 1e-9
 
     def test_too_few_records(self):
-        from conftest import make_catalog
-
         catalog = make_catalog(1, names=["v"])
         with pytest.raises(DataError, match="at least 2"):
             split_cohorts(numeric_records([1]), catalog, 0.5, seed=0)
 
     def test_bad_ratio(self):
-        from conftest import make_catalog
-
         catalog = make_catalog(1, names=["v"])
         with pytest.raises(ValueError):
             split_cohorts(numeric_records([1, 2]), catalog, 1.5, seed=0)
@@ -317,7 +339,7 @@ class TestSynthetic:
         data, schema = write_synth(tmp_path, SyntheticSpec(n=80), seed=6)
         _, records = load_and_validate(data, schema)
         assert len(records) == 80
-        assert all(r.y > 0 for r in records)
+        assert all(records.y > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,16 +370,11 @@ def test_encoding_round_trip_property(labels):
     seed=st.integers(min_value=0, max_value=999),
 )
 def test_split_partition_property(n, ratio, seed):
-    from conftest import make_catalog
-
     assume(2 <= round(ratio * n) <= n - 1)  # a 1-row cohort cannot be standardized
     rng = np.random.default_rng(n * 1000 + seed)
-    records = [
-        RawRecord(f"r{i}", {"v": float(v)}, 10.0)
-        for i, v in enumerate(rng.standard_normal(n))
-    ]
+    records = numeric_records(rng.standard_normal(n))
     catalog = make_catalog(1, names=["v"])
     train, valid = split_cohorts(records, catalog, ratio, seed)
-    ids = sorted([r.id for r in train.records] + [r.id for r in valid.records])
-    assert ids == sorted(r.id for r in records)
+    ids = sorted([*train.ids, *valid.ids])
+    assert ids == sorted(records.ids)
     assert len(train) >= 1 and len(valid) >= 1

@@ -138,7 +138,7 @@ class TestEvaluateModel:
 
     def test_single_record_equals_pointwise(self):
         X = np.array([[0.3, 1.0], [0.7, -1.0]])
-        cohort = make_cohort(X, [40.0, 40.0]).subset([0])
+        cohort = make_cohort(X, [40.0, 40.0])[:1]
         model = LinearModel(np.zeros(2), 44.0)
         report = evaluate_model(model, cohort, two_feature_profile())
         assert report.n == 1

@@ -1,7 +1,11 @@
 """Pack round trips and format guards."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dosedistill.dataset import load_and_validate, split_cohorts
 from dosedistill.distillation import DistillationConfig, sweep_lambda
@@ -32,8 +36,9 @@ def test_unknown_model_kind_rejected():
         model_from_obj({"kind": "forest"})
 
 
-def test_pack_round_trip_and_version_guard(tmp_path):
-    data, schema = write_synth(tmp_path, SyntheticSpec(n=120), seed=2)
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    data, schema = write_synth(tmp_path_factory.mktemp("pack"), SyntheticSpec(n=120), seed=2)
     catalog, records = load_and_validate(data, schema)
     train, valid = split_cohorts(records, catalog, 0.7, seed=0)
     profile = default_catalog(catalog).by_name("Genotypic except others")
@@ -41,7 +46,11 @@ def test_pack_round_trip_and_version_guard(tmp_path):
         lambda_grid=(0.0, 1.0), train=TrainConfig(seed=1, max_epochs=20, patience=5)
     )
     _, bundle = sweep_lambda(train, valid, profile, config)
+    return catalog, train, bundle, config
 
+
+def test_pack_round_trip_and_version_guard(trained):
+    catalog, train, bundle, config = trained
     obj = pack_to_obj(catalog, train.standardizer, [bundle], config.train)
     catalog2, standardizer2, bundles2, train_config2 = pack_from_obj(obj)
     assert catalog2.names == catalog.names
@@ -52,4 +61,42 @@ def test_pack_round_trip_and_version_guard(tmp_path):
 
     obj["format_version"] = 99
     with pytest.raises(DataError, match="version"):
+        pack_from_obj(obj)
+
+
+def key_paths(obj, prefix=()):
+    """Every path to a dict key in a pack, except the labels of an encoding map."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield (*prefix, key)
+            if key != "encoding_map":
+                yield from key_paths(value, (*prefix, key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from key_paths(value, (*prefix, i))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pack_missing_any_key_is_data_error(trained, data):
+    catalog, train, bundle, config = trained
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config.train)
+    path = data.draw(st.sampled_from(list(key_paths(obj))))
+    broken = copy.deepcopy(obj)
+    parent = broken
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    with pytest.raises(DataError):
+        pack_from_obj(broken)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("standardizer", []), ("catalog", "x"), ("bundles", {"a": 1}), ("train_config", None),
+])
+def test_pack_mistyped_value_is_data_error(trained, key, value):
+    catalog, train, bundle, config = trained
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config.train)
+    obj[key] = value
+    with pytest.raises(DataError, match="malformed model pack"):
         pack_from_obj(obj)
