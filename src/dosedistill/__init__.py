@@ -63,7 +63,6 @@ from .profiles import (
     Disclosure,
     Profile,
     ProfileCatalog,
-    ProfileStore,
     apply_mask,
     default_catalog,
     train_on_demand,

@@ -17,6 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import serialize
 from .dataset import (
     Feature,
@@ -40,7 +42,6 @@ from .models import TrainConfig
 from .profiles import (
     Disclosure,
     Profile,
-    ProfileStore,
     best_feasible,
     default_catalog,
     train_on_demand,
@@ -281,7 +282,7 @@ def _fit_profiles(args):
         sweep, best = sweep_lambda(train, valid, profile, cfg)
         points.extend((profile.name, lam, rep) for lam, rep in sweep)
         bundles.append(best)
-    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config.train)
+    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config, args.ratio)
     return pack, bundles, points
 
 
@@ -425,7 +426,7 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
 
 
 def _cmd_predict(args) -> int:
-    catalog, standardizer, bundles, train_config = serialize.pack_from_obj(
+    catalog, standardizer, bundles, config, ratio = serialize.pack_from_obj(
         serialize.load_json(args.model)
     )
     disclosure = _parse_disclosure(args.disclose, catalog, standardizer)
@@ -439,15 +440,16 @@ def _cmd_predict(args) -> int:
                 "no stored profile fits this disclosure; re-run with --data/--schema "
                 "to train one on demand"
             ) from None
+        # train as the pack's profiles were: its split, grid and privileged mode
         data_catalog, records = load_and_validate(args.data, args.schema)
-        if data_catalog.names != catalog.names:
-            raise DataError("--data columns do not match the model pack's catalog")
-        train, valid = split_cohorts(records, data_catalog, args.ratio, args.seed)
-        store = ProfileStore([b.profile for b in bundles])
-        config = DistillationConfig(
-            lambda_grid=_parse_grid(args.grid), train=train_config
-        )
-        bundle = train_on_demand(store, train, disclosure, config, valid)
+        train, valid = split_cohorts(records, data_catalog, ratio, config.train.seed)
+        if not (
+            data_catalog == catalog
+            and np.array_equal(train.standardizer.means, standardizer.means)
+            and np.array_equal(train.standardizer.stds, standardizer.stds)
+        ):
+            raise DataError("--data is not the data this model pack was trained on")
+        bundle = train_on_demand(train, valid, disclosure, config)
         profile, exact = bundle.profile, True
 
     x_visible = [disclosure.values[i] for i in profile.visible_features]
@@ -540,11 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model pack JSON from train/sweep")
     p.add_argument("--disclose", required=True,
                    help="comma-separated name=value pairs; omission = withheld")
-    p.add_argument("--data", default=None, help="training CSV for on-demand profiles")
+    p.add_argument("--data", default=None,
+                   help="the pack's training CSV, for on-demand profiles")
     p.add_argument("--schema", default=None)
-    p.add_argument("--ratio", type=float, default=0.65)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default="0:1:0.1")
     p.set_defaults(func=_cmd_predict)
 
     return parser

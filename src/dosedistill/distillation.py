@@ -102,11 +102,9 @@ class DistilledBundle:
     """Everything needed to serve one profile."""
 
     profile: Profile
-    privileged: MlpModel
     distilled: MlpModel
     lam: float
     metrics: EvalReport
-    privileged_inputs: PrivilegedInputs = PrivilegedInputs.ALL_FEATURES
 
     def __post_init__(self):
         if self.distilled.dim != len(self.profile.visible_features):
@@ -157,8 +155,5 @@ def sweep_lambda(
         rows.append((lam, model, evaluate_model(model, valid, profile)))
 
     best_lam, best_model, best_report = min(rows, key=lambda r: (r[2].mae, r[0]))
-    bundle = DistilledBundle(
-        profile, privileged, best_model, best_lam, best_report,
-        config.privileged_inputs,
-    )
+    bundle = DistilledBundle(profile, best_model, best_lam, best_report)
     return [(lam, rep) for lam, _, rep in rows], bundle

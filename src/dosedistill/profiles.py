@@ -176,42 +176,18 @@ def best_feasible(
     return best, exact
 
 
-class ProfileStore:
-    """Profile catalog plus the bundles trained on demand, keyed by disclosed set.
-
-    Nothing here is locked: share a store between threads only behind a lock.
-    """
-
-    def __init__(self, catalog: "ProfileCatalog | Sequence[Profile]"):
-        profiles = catalog.profiles if isinstance(catalog, ProfileCatalog) else catalog
-        self._profiles = list(profiles)
-        self._bundles: dict[frozenset[int], "DistilledBundle"] = {}
-
-    @property
-    def catalog(self) -> ProfileCatalog:
-        return ProfileCatalog(tuple(self._profiles))
-
-
 def train_on_demand(
-    store: ProfileStore,
     train: Cohort,
+    valid: Cohort,
     disclosure: Disclosure,
     config: "DistillationConfig",
-    valid: Cohort | None = None,
 ) -> "DistilledBundle":
-    """Build and cache a bundle for a disclosure no stored profile serves.
+    """Build a bundle for a disclosure no stored profile serves.
 
-    The new profile redacts exactly the complement of the disclosed set.
-    Repeat calls with the same disclosed set reuse the cached bundle. When
-    no validation cohort is given, a deterministic 20% slice of the training
-    cohort is carved off for imitation-weight selection.
+    The new profile redacts exactly the complement of the disclosed set; its
+    imitation weight is picked on ``valid`` from ``config``'s grid.
     """
     from .distillation import sweep_lambda
-
-    key = frozenset(disclosure.disclosed)
-    hit = store._bundles.get(key)
-    if hit is not None:
-        return hit
 
     d = train.catalog.d
     bad = sorted(i for i in disclosure.disclosed if not 0 <= i < d)
@@ -222,17 +198,5 @@ def train_on_demand(
         ",".join(map(str, sorted(disclosure.disclosed))).encode()
     ).hexdigest()[:8]
     profile = Profile(f"custom-{digest}", frozenset(), redacted, d)
-
-    if valid is None:
-        rng = np.random.default_rng(config.train.seed)
-        perm = rng.permutation(len(train))
-        n_eval = max(1, len(train) // 5)
-        eval_part = train[np.sort(perm[:n_eval])]
-        fit_part = train[np.sort(perm[n_eval:])]
-    else:
-        fit_part, eval_part = train, valid
-
-    _, bundle = sweep_lambda(fit_part, eval_part, profile, config)
-    store._profiles.append(profile)
-    store._bundles[key] = bundle
+    _, bundle = sweep_lambda(train, valid, profile, config)
     return bundle

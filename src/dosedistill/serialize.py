@@ -18,11 +18,13 @@ from typing import Any
 import numpy as np
 
 from .dataset import Feature, FeatureCatalog, FeatureCategory, StandardizationParams
+from .distillation import DistillationConfig, DistilledBundle, PrivilegedInputs
 from .errors import DataError
+from .evaluation import EvalReport, SafetyPartition
 from .models import LinearModel, MlpModel, TrainConfig
 from .profiles import Profile
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -134,10 +136,6 @@ def profile_from_obj(obj: dict) -> Profile:
     )
 
 
-def train_config_from_obj(obj: dict) -> TrainConfig:
-    return TrainConfig(**obj)
-
-
 def config_digest(obj: Any) -> str:
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -159,9 +157,7 @@ def report_to_obj(report) -> dict:
     }
 
 
-def report_from_obj(obj: dict):
-    from .evaluation import EvalReport, SafetyPartition
-
+def report_from_obj(obj: dict) -> EvalReport:
     s = obj["safety"]
     return EvalReport(
         obj["mae"],
@@ -171,57 +167,69 @@ def report_from_obj(obj: dict):
     )
 
 
-def bundle_to_obj(bundle) -> dict:
+def bundle_to_obj(bundle: DistilledBundle) -> dict:
     return {
         "profile": profile_to_obj(bundle.profile),
-        "privileged": model_to_obj(bundle.privileged),
         "distilled": model_to_obj(bundle.distilled),
         "lambda": bundle.lam,
         "metrics": report_to_obj(bundle.metrics),
-        "privileged_inputs": bundle.privileged_inputs.value,
     }
 
 
-def bundle_from_obj(obj: dict):
-    from .distillation import DistilledBundle, PrivilegedInputs
-
+def bundle_from_obj(obj: dict) -> DistilledBundle:
     return DistilledBundle(
         profile_from_obj(obj["profile"]),
-        model_from_obj(obj["privileged"]),
         model_from_obj(obj["distilled"]),
         obj["lambda"],
         report_from_obj(obj["metrics"]),
-        PrivilegedInputs(obj["privileged_inputs"]),
     )
 
 
-def pack_to_obj(catalog, standardizer, bundles, train_config) -> dict:
-    """A model pack: everything `predict` needs to serve disclosures."""
-    return {
+def pack_to_obj(
+    catalog, standardizer, bundles, config: DistillationConfig, ratio: float
+) -> dict:
+    """A model pack: what `predict` serves, and the recipe that trained it.
+
+    The recipe (split ratio, grid, privileged mode and training config; the
+    split seed is the training seed) lets `predict` train an on-demand
+    profile exactly as the stored ones were. ``digest`` hashes all the rest,
+    so an edit to any value or key, labels included, no longer decodes.
+    """
+    body = {
         "format_version": FORMAT_VERSION,
         "catalog": catalog_to_obj(catalog),
         "standardizer": standardizer_to_obj(standardizer),
-        "train_config": asdict(train_config),
-        "train_config_digest": config_digest(asdict(train_config)),
+        "train_config": asdict(config.train),
+        "lambda_grid": list(config.lambda_grid),
+        "privileged_inputs": config.privileged_inputs.value,
+        "split_ratio": ratio,
         "bundles": [bundle_to_obj(b) for b in bundles],
     }
+    return body | {"digest": config_digest(body)}
 
 
 def pack_from_obj(obj: dict):
-    """Decode a pack; anything but what ``pack_to_obj`` writes is a DataError.
+    """Decode a pack into ``(catalog, standardizer, bundles, config, ratio)``.
 
-    The decoded parts are encoded again and must give back ``obj`` itself, so
-    a missing, extra or inconsistent key is rejected as well as a bad value.
+    Anything but what ``pack_to_obj`` writes is a DataError: the decoded
+    parts are encoded again and must give back ``obj`` itself, digest
+    included, so a missing, extra, edited or inconsistent key is rejected.
     """
     version = obj.get("format_version") if isinstance(obj, dict) else None
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported model file version {version!r}")
     try:
+        config = DistillationConfig(
+            lambda_grid=tuple(obj["lambda_grid"]),
+            privileged_inputs=PrivilegedInputs(obj["privileged_inputs"]),
+            train=TrainConfig(**obj["train_config"]),
+        )
         parts = (
             catalog_from_obj(obj["catalog"]),
             standardizer_from_obj(obj["standardizer"]),
             [bundle_from_obj(b) for b in obj["bundles"]],
-            train_config_from_obj(obj["train_config"]),
+            config,
+            float(obj["split_ratio"]),
         )
         canonical = pack_to_obj(*parts) == obj
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

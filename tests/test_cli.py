@@ -6,6 +6,11 @@ import json
 import pytest
 
 from dosedistill.cli import run_command
+from dosedistill.dataset import load_and_validate, split_cohorts
+from dosedistill.distillation import DistillationConfig
+from dosedistill.models import TrainConfig
+from dosedistill.profiles import Disclosure, train_on_demand
+from dosedistill.serialize import pack_from_obj
 
 FAST = [
     "--max-epochs", "25", "--patience", "5", "--jobs", "1",
@@ -233,10 +238,55 @@ class TestTrainPredict:
 
         code = run_command([
             "predict", "--model", str(out / "pack.json"), "--disclose", lone,
-            "--data", str(data), "--schema", str(schema), "--grid", "0,1",
+            "--data", str(data), "--schema", str(schema),
         ])
         assert code == 0
         assert "custom-" in capsys.readouterr().out
+
+    def test_on_demand_uses_the_packs_split_grid_and_training(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        pack = tmp_path / "m" / "pack.json"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(pack.parent), "--profile", "public",
+            "--seed", "5", "--ratio", "0.7", "--grid", "0", *FAST,
+        ]) == 0
+        capsys.readouterr()
+        assert run_command([
+            "predict", "--model", str(pack), "--disclose", "demographic_1=0.3",
+            "--data", str(data), "--schema", str(schema),
+        ]) == 0
+        printed = capsys.readouterr().out
+
+        catalog, records = load_and_validate(data, schema)
+        train, valid = split_cohorts(records, catalog, 0.7, 5)
+        config = DistillationConfig(
+            lambda_grid=(0.0,),
+            train=TrainConfig(seed=5, max_epochs=25, patience=5),
+        )
+        _, standardizer, _, _, _ = pack_from_obj(json.loads(pack.read_text()))
+        x = (0.3 - standardizer.means[1]) / standardizer.stds[1]
+        bundle = train_on_demand(train, valid, Disclosure(frozenset({1}), {1: x}), config)
+        dose = float(bundle.distilled.predict([[x]])[0])
+        assert f"predicted weekly dose: {dose:.2f} mg/week" in printed
+
+    def test_on_demand_refuses_data_the_pack_was_not_trained_on(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "m"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(out), "--profile", "public", "--grid", "0", *FAST,
+        ]) == 0
+        other, other_schema = synth(tmp_path / "other", seed=8)
+        capsys.readouterr()
+        code = run_command([
+            "predict", "--model", str(out / "pack.json"), "--disclose", "demographic_1=0.3",
+            "--data", str(other), "--schema", str(other_schema),
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "predicted weekly dose" not in captured.out
+        assert "not the data this model pack was trained on" in captured.err
 
     def test_predict_unseen_label_exits_3(self, tmp_path, capsys):
         data, schema = synth(tmp_path)

@@ -219,7 +219,6 @@ class TestSweep:
         with pytest.raises(DataError, match="discloses"):
             DistilledBundle(
                 profiles.public,  # wrong profile for this model
-                bundle.privileged,
                 bundle.distilled,
                 0.0,
                 bundle.metrics,

@@ -14,7 +14,6 @@ from dosedistill.models import TrainConfig
 from dosedistill.profiles import (
     Disclosure,
     Profile,
-    ProfileStore,
     apply_mask,
     best_feasible,
     default_catalog,
@@ -173,43 +172,6 @@ def test_exact_mask_disclosures_return_exact(data):
 
 
 class TestTrainOnDemand:
-    @pytest.fixture
-    def cohorts(self, tmp_path):
-        from dosedistill.dataset import load_and_validate
-
-        data, schema = write_synth(tmp_path, SyntheticSpec(n=200), seed=8)
-        catalog, records = load_and_validate(data, schema)
-        train, valid = split_cohorts(records, catalog, 0.7, seed=1)
-        return catalog, train, valid
-
-    def fast_config(self):
-        return DistillationConfig(
-            lambda_grid=(0.0, 0.5, 1.0),
-            train=TrainConfig(seed=2, max_epochs=30, patience=5),
-        )
-
-    def test_novel_disclosure_grows_catalog_once(self, cohorts):
-        catalog, train, valid = cohorts
-        store = ProfileStore(default_catalog(catalog))
-        disclosure = disclosure_of([0, 2, 4])  # no stored profile fits
-        before = len(store.catalog)
-
-        bundle = train_on_demand(store, train, disclosure, self.fast_config(), valid)
-        assert len(store.catalog) == before + 1
-        assert bundle.profile.visible_features == (0, 2, 4)
-
-        again = train_on_demand(store, train, disclosure, self.fast_config(), valid)
-        assert again is bundle  # cached, no duplicate profile
-        assert len(store.catalog) == before + 1
-
-    def test_without_validation_cohort(self, cohorts):
-        catalog, train, _ = cohorts
-        store = ProfileStore(default_catalog(catalog))
-        bundle = train_on_demand(
-            store, train, disclosure_of([1, 3, 5]), self.fast_config()
-        )
-        assert bundle.distilled.dim == 3
-
     def test_desk_scale_completes_quickly(self, tmp_path):
         from dosedistill.dataset import load_and_validate
 
@@ -217,9 +179,9 @@ class TestTrainOnDemand:
         data, schema = write_synth(tmp_path, spec, seed=4)
         catalog, records = load_and_validate(data, schema)
         train, valid = split_cohorts(records, catalog, 0.7, seed=1)
-        store = ProfileStore(default_catalog(catalog))
         config = DistillationConfig(train=TrainConfig(seed=3))
 
         start = time.monotonic()
-        train_on_demand(store, train, disclosure_of(range(10)), config, valid)
+        bundle = train_on_demand(train, valid, disclosure_of(range(10)), config)
         assert time.monotonic() - start < 60.0
+        assert bundle.profile.visible_features == tuple(range(10))

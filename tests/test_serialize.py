@@ -51,26 +51,27 @@ def trained(tmp_path_factory):
 
 def test_pack_round_trip_and_version_guard(trained):
     catalog, train, bundle, config = trained
-    obj = pack_to_obj(catalog, train.standardizer, [bundle], config.train)
-    catalog2, standardizer2, bundles2, train_config2 = pack_from_obj(obj)
-    assert catalog2.names == catalog.names
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
+    catalog2, standardizer2, bundles2, config2, ratio2 = pack_from_obj(obj)
+    assert catalog2 == catalog
     assert np.array_equal(standardizer2.means, train.standardizer.means)
     assert bundles2[0].lam == bundle.lam
     assert np.array_equal(bundles2[0].distilled.W1, bundle.distilled.W1)
-    assert train_config2 == config.train
+    assert config2 == config
+    assert ratio2 == 0.7
 
-    obj["format_version"] = 99
-    with pytest.raises(DataError, match="version"):
-        pack_from_obj(obj)
+    for version in (1, 99):
+        obj["format_version"] = version
+        with pytest.raises(DataError, match=f"version {version}"):
+            pack_from_obj(obj)
 
 
 def key_paths(obj, prefix=()):
-    """Every path to a dict key in a pack, except the labels of an encoding map."""
+    """Every path to a dict key in a pack, the labels of an encoding map included."""
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield (*prefix, key)
-            if key != "encoding_map":
-                yield from key_paths(value, (*prefix, key))
+            yield from key_paths(value, (*prefix, key))
     elif isinstance(obj, list):
         for i, value in enumerate(obj):
             yield from key_paths(value, (*prefix, i))
@@ -80,7 +81,7 @@ def key_paths(obj, prefix=()):
 @given(data=st.data())
 def test_pack_missing_any_key_is_data_error(trained, data):
     catalog, train, bundle, config = trained
-    obj = pack_to_obj(catalog, train.standardizer, [bundle], config.train)
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
     path = data.draw(st.sampled_from(list(key_paths(obj))))
     broken = copy.deepcopy(obj)
     parent = broken
@@ -91,12 +92,23 @@ def test_pack_missing_any_key_is_data_error(trained, data):
         pack_from_obj(broken)
 
 
+def test_pack_that_lost_its_top_label_is_data_error(trained):
+    catalog, train, bundle, config = trained
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
+    labels = next(f["encoding_map"] for f in obj["catalog"]["features"] if f["encoding_map"])
+    # the codes left still run 0..k-1, so only the digest can tell
+    del labels[max(labels, key=labels.get)]
+    with pytest.raises(DataError, match="malformed model pack"):
+        pack_from_obj(obj)
+
+
 @pytest.mark.parametrize("key, value", [
     ("standardizer", []), ("catalog", "x"), ("bundles", {"a": 1}), ("train_config", None),
+    ("lambda_grid", "x"), ("privileged_inputs", 3), ("split_ratio", "0.7"),
 ])
 def test_pack_mistyped_value_is_data_error(trained, key, value):
     catalog, train, bundle, config = trained
-    obj = pack_to_obj(catalog, train.standardizer, [bundle], config.train)
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
     obj[key] = value
     with pytest.raises(DataError, match="malformed model pack"):
         pack_from_obj(obj)
