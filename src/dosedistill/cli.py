@@ -33,6 +33,7 @@ from .dataset import (
 from .distillation import (
     DistillationConfig,
     PrivilegedInputs,
+    shared_teacher,
     sweep_lambda,
 )
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
@@ -276,10 +277,11 @@ def _fit_profiles(args):
     config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
     train, valid = split_cohorts(records, catalog, args.ratio, args.seed)
-    bundles, points = [], []
+    bundles, points, teachers = [], [], {}
     for profile in _resolve_profiles(catalog, args.profile):
         cfg = _profile_config(config, profile)
-        sweep, best = sweep_lambda(train, valid, profile, cfg)
+        teacher = shared_teacher(teachers, train, profile, cfg)
+        sweep, best = sweep_lambda(train, valid, profile, cfg, teacher)
         points.extend((profile.name, lam, rep) for lam, rep in sweep)
         bundles.append(best)
     pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config, args.ratio)

@@ -21,7 +21,7 @@ shrinks: at weight lambda and temperature T the blended target is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .dataset import Cohort
 from .errors import DataError
 from .evaluation import EvalReport, evaluate_model
-from .models import MlpModel, TrainConfig, train_mlp
+from .models import MlpModel, TrainConfig, train_mlp, train_mlp_stack
 from .profiles import Profile
 
 DEFAULT_GRID = tuple(round(0.1 * k, 1) for k in range(11))
@@ -114,15 +114,16 @@ class DistilledBundle:
             )
 
 
-def _blended_targets(
+def _soft_targets(
     train: Cohort, profile: Profile, privileged: MlpModel, config: DistillationConfig
 ) -> np.ndarray:
-    lam = config.lam
-    if lam == 0.0:
-        return train.y
     cols = privileged_feature_indices(profile, config.privileged_inputs)
-    s = soft_targets(privileged, train.X[:, cols], config.temperature)
-    return (1.0 - lam) * train.y + lam * s
+    return soft_targets(privileged, train.X[:, cols], config.temperature)
+
+
+def _blend(y: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
+    """(1 - lambda) * y + lambda * s; lambda = 0 is y itself."""
+    return y if lam == 0.0 else (1.0 - lam) * y + lam * s
 
 
 def train_distilled(
@@ -132,8 +133,24 @@ def train_distilled(
     config: DistillationConfig,
 ) -> MlpModel:
     """Fit the per-profile model on visible features against blended targets."""
-    targets = _blended_targets(train, profile, privileged, config)
+    s = _soft_targets(train, profile, privileged, config)
+    targets = _blend(train.y, s, config.lam)
     return train_mlp(train.X[:, list(profile.visible_features)], targets, config.train)
+
+
+def shared_teacher(
+    teachers: dict, train: Cohort, profile: Profile, config: DistillationConfig
+) -> MlpModel:
+    """The privileged model for ``profile``, fitted once per column set.
+
+    A teacher depends only on the training rows, its columns and
+    ``config.train``; ``teachers`` maps column sets to models fitted on one
+    ``train`` with one ``config.train``.
+    """
+    cols = privileged_feature_indices(profile, config.privileged_inputs)
+    if cols not in teachers:
+        teachers[cols] = train_privileged(train, profile, config)
+    return teachers[cols]
 
 
 def sweep_lambda(
@@ -141,18 +158,34 @@ def sweep_lambda(
     valid: Cohort,
     profile: Profile,
     config: DistillationConfig,
+    privileged: MlpModel | None = None,
 ) -> tuple[list[tuple[float, EvalReport]], DistilledBundle]:
     """Train one model per grid value against a shared privileged model.
+
+    ``privileged`` is the teacher for this profile; it is fitted here when
+    not given. The blended objective is plain squared error against
+    (1 - lambda) * y + lambda * s, so the grid's models differ only in their
+    targets: they share the visible features, the seed, the initialization,
+    the hold-out split and every shuffle. The grid therefore trains as one
+    stack (``train_mlp_stack``), one row of targets per lambda, and each
+    model is bit for bit the one ``train_distilled`` returns at that lambda.
 
     Returns every (lambda, validation report) point in grid order plus the
     bundle with the lowest validation MAE; ties go to the smaller lambda. The
     lambda = 0 point doubles as the partially-redacted baseline.
     """
-    privileged = train_privileged(train, profile, config)
-    rows = []
-    for lam in config.lambda_grid:
-        model = train_distilled(train, profile, privileged, replace(config, lam=lam))
-        rows.append((lam, model, evaluate_model(model, valid, profile)))
+    if privileged is None:
+        privileged = train_privileged(train, profile, config)
+    grid = config.lambda_grid
+    s = _soft_targets(train, profile, privileged, config)
+    targets = np.stack([_blend(train.y, s, lam) for lam in grid])
+    models = train_mlp_stack(
+        train.X[:, list(profile.visible_features)], targets, config.train
+    )
+    rows = [
+        (lam, model, evaluate_model(model, valid, profile))
+        for lam, model in zip(grid, models)
+    ]
 
     best_lam, best_model, best_report = min(rows, key=lambda r: (r[2].mae, r[0]))
     bundle = DistilledBundle(profile, best_model, best_lam, best_report)

@@ -193,9 +193,15 @@ def run_study(
     partially-redacted model (lambda 0) and the best-lambda imitation model,
     with the best lambda re-selected on that run's validation split.
     Profiles that redact nothing reuse the non-redacted MLP's report for
-    both arms.
+    both arms. Each run fits one teacher per privileged column set; the
+    all-features teacher is the non-redacted MLP itself, the same fit.
     """
-    from .distillation import sweep_lambda
+    from .distillation import (
+        PrivilegedInputs,
+        privileged_feature_indices,
+        shared_teacher,
+        sweep_lambda,
+    )
 
     if runs < 1:
         raise ValueError("need at least one run")
@@ -219,13 +225,16 @@ def run_study(
         mlp = train_mlp(train.X, train.y, run_config.train)
         mlp_report = evaluate_model(mlp, valid, public)
         add("mlp", public.name, mlp_report)
+        all_features = privileged_feature_indices(public, PrivilegedInputs.ALL_FEATURES)
+        teachers = {all_features: mlp}
 
         for profile in profile_catalog:
             if profile.is_public:
                 add("partial", profile.name, mlp_report)
                 add("distilled", profile.name, mlp_report)
                 continue
-            points, best = sweep_lambda(train, valid, profile, run_config)
+            teacher = shared_teacher(teachers, train, profile, run_config)
+            points, best = sweep_lambda(train, valid, profile, run_config, teacher)
             add("partial", profile.name, points[0][1])
             add("distilled", profile.name, best.metrics)
 

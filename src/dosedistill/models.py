@@ -5,6 +5,13 @@ is plain mini-batch Adam on squared error against whatever target vector the
 caller supplies (ground-truth doses, imitation targets, or a blend), with
 deterministic shuffling and early stopping on a held-out slice of the
 training rows. Every training run is a pure function of (data, config).
+
+There is one training kernel, ``train_mlp_stack``: it trains K models on the
+same rows and config at once, one per target vector, as a ``(K, P)``
+parameter stack. Nothing but the targets tells the K runs apart, and Adam is
+elementwise, so each member is bit for bit the model a lone run returns.
+``train_mlp`` is its K = 1 case, and ``mlp_gradient`` reads the same
+backward pass.
 """
 
 from __future__ import annotations
@@ -127,26 +134,76 @@ class MlpGradients:
     db2: float
 
 
-def _forward_backward(W1, b1, w2, b2, X, t):
-    """Batch MSE loss and its exact gradients. ReLU derivative at 0 is 0."""
-    pre = X @ W1.T + b1
-    h = np.maximum(pre, 0.0)
-    pred = h @ w2 + b2
-    err = pred - t
-    n = len(t)
-    loss = float(err @ err) / n
-    g = err * (2.0 / n)
-    db2 = float(g.sum())
-    dw2 = h.T @ g
-    dh = np.outer(g, w2)
-    dh *= pre > 0
-    db1 = dh.sum(axis=0)
-    dW1 = dh.T @ X
-    return loss, dW1, db1, dw2, db2
+class _Flat:
+    """K parameter sets (or their gradients) in one ``(K, P)`` buffer.
+
+    ``W1`` (K, hidden, d), ``b1`` (K, hidden), ``w2`` (K, hidden) and ``b2``
+    (K,) are views into ``buf``, so one ufunc call on ``buf`` touches every
+    parameter of every member.
+    """
+
+    def __init__(self, buf: np.ndarray, hidden: int, d: int):
+        hd = hidden * d
+        self.buf = buf
+        self.W1 = buf[:, :hd].reshape(len(buf), hidden, d)
+        self.b1 = buf[:, hd : hd + hidden]
+        self.w2 = buf[:, hd + hidden : hd + 2 * hidden]
+        self.b2 = buf[:, -1]
+
+    @classmethod
+    def stack(cls, model: MlpModel, k: int) -> "_Flat":
+        """``k`` copies of ``model`` as rows of a fresh buffer."""
+        row = np.concatenate([model.W1.ravel(), model.b1, model.w2, [model.b2]])
+        return cls(np.tile(row, (k, 1)), model.hidden, model.dim)
+
+    def like(self, buf: np.ndarray) -> "_Flat":
+        return _Flat(buf, self.W1.shape[1], self.W1.shape[2])
+
+    def model(self, k: int, offset: float) -> MlpModel:
+        """Member ``k`` as a stand-alone model, ``offset`` added to its bias."""
+        return MlpModel(
+            self.W1[k].copy(), self.b1[k].copy(), self.w2[k].copy(),
+            float(self.b2[k]) + float(offset),
+        )
+
+
+def _forward(p: _Flat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden units (K, n, hidden) and predictions (K, n)."""
+    h = np.matmul(X, p.W1.transpose(0, 2, 1))
+    h += p.b1[:, None, :]
+    np.maximum(h, 0.0, out=h)
+    pred = np.matmul(h, p.w2[:, :, None])[:, :, 0]
+    pred += p.b2[:, None]
+    return h, pred
+
+
+def _backprop(p: _Flat, X: np.ndarray, T: np.ndarray, g: _Flat) -> np.ndarray:
+    """Batch MSE of member k against ``T[k]``, its exact gradient into ``g``.
+
+    Returns the K losses. ReLU derivative at 0 is 0. Every product is one
+    BLAS call per member (``matmul`` over the stack) and every sum runs along
+    one member's axis, so member k's numbers are those of a lone K = 1 call.
+    """
+    n = X.shape[0]
+    h, err = _forward(p, X)
+    err -= T
+    loss = np.einsum("kn,kn->k", err, err) / n
+    err *= 2.0 / n
+    np.add.reduce(err, axis=1, out=g.b2)
+    np.matmul(h.transpose(0, 2, 1), err[:, :, None], out=g.w2[:, :, None])
+    active = h > 0
+    dh = np.multiply(err[:, :, None], p.w2[:, None, :], out=h)  # h is spent
+    dh *= active
+    np.add.reduce(dh, axis=1, out=g.b1)
+    np.matmul(dh.transpose(0, 2, 1), X, out=g.W1)
+    return loss
 
 
 def mlp_gradient(model: MlpModel, X, targets) -> MlpGradients:
-    """Exact analytic gradient of the batch mean-squared-error loss."""
+    """Exact analytic gradient of the batch mean-squared-error loss.
+
+    Computed by the training kernel's own backward pass, at K = 1.
+    """
     X = _as_matrix(X)
     targets = np.asarray(targets, dtype=float)
     if X.shape[0] == 0:
@@ -155,10 +212,10 @@ def mlp_gradient(model: MlpModel, X, targets) -> MlpGradients:
         raise ValueError(f"model takes {model.dim} features, got {X.shape[1]}")
     if targets.shape != (X.shape[0],):
         raise ValueError(f"targets shape {targets.shape} != ({X.shape[0]},)")
-    _, dW1, db1, dw2, db2 = _forward_backward(
-        model.W1, model.b1, model.w2, model.b2, X, targets
-    )
-    return MlpGradients(dW1, db1, dw2, db2)
+    p = _Flat.stack(model, 1)
+    g = p.like(np.empty_like(p.buf))
+    _backprop(p, X, targets[None], g)
+    return MlpGradients(g.W1[0], g.b1[0], g.w2[0], float(g.b2[0]))
 
 
 @dataclass(frozen=True)
@@ -191,21 +248,30 @@ class TrainConfig:
             raise ValueError("hidden must be >= 1")
 
 
-def train_mlp(X, targets, config: TrainConfig) -> MlpModel:
-    """Mini-batch Adam on squared error, returning the best held-out epoch.
+def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
+    """Train one model per row of ``targets`` (K, n) on the shared rows ``X``.
+
+    Each model is what a lone run of mini-batch Adam on squared error would
+    return for its targets, bit for bit: the members share the seeded
+    initialization, the hold-out split and every epoch's shuffle, because
+    none of them depends on the targets, and Adam updates each parameter on
+    its own. So all K parameter sets sit in one flat buffer that every step
+    updates in place, with ``out=`` ufuncs in the order of operations of a
+    single run.
 
     The early-stopping slice is the last 10% of a seeded shuffle of the
     training rows, so reported validation metrics never leak into stopping.
-    Targets are centered internally (the mean is folded back into the output
-    bias), which is exact and speeds up convergence on dose-scale targets.
-    Deterministic: two runs with identical inputs and config return
-    parameter-identical models.
+    Each member keeps its own best held-out epoch and patience count, and
+    leaves the stack when its patience runs out. Targets are centered
+    internally (each member's mean is folded back into its output bias),
+    which is exact and speeds up convergence on dose-scale targets. A
+    non-finite loss in any member raises ``TrainingDivergedError``.
     """
     X = _as_matrix(X)
-    t = np.asarray(targets, dtype=float)
+    T = np.asarray(targets, dtype=float)
     n, d = X.shape
-    if t.shape != (n,):
-        raise ValueError(f"targets shape {t.shape} != ({n},)")
+    if T.ndim != 2 or T.shape[1] != n:
+        raise ValueError(f"targets shape {T.shape} != (K, {n})")
     if n < 2:
         raise DataError(f"need at least 2 rows to train, got {n}")
 
@@ -213,17 +279,16 @@ def train_mlp(X, targets, config: TrainConfig) -> MlpModel:
     perm = rng.permutation(n)
     n_hold = min(max(1, int(round(n * config.holdout_fraction))), n - 1)
     fit_idx, hold_idx = perm[: n - n_hold], perm[n - n_hold :]
-    Xf, tf = X[fit_idx], t[fit_idx]
-    Xh, th = X[hold_idx], t[hold_idx]
+    Xf, Xh = X[fit_idx], X[hold_idx]
+    Tf, Th = T[:, fit_idx], T[:, hold_idx]
+    mu = np.array([row.mean() for row in Tf])  # one contiguous row per member
+    Tf -= mu[:, None]
+    Th -= mu[:, None]
 
-    mu = float(tf.mean())
-    tf = tf - mu
-    th = th - mu
-
-    init = mlp_new(d, config.hidden, config.seed)
-    params = [init.W1.copy(), init.b1.copy(), init.w2.copy(), np.float64(init.b2)]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    K = len(T)
+    p = _Flat.stack(mlp_new(d, config.hidden, config.seed), K)
+    g = p.like(np.empty_like(p.buf))
+    m, v, tmp = np.zeros_like(p.buf), np.zeros_like(p.buf), np.empty_like(p.buf)
     lr, b1c, b2c, eps = (
         config.learning_rate,
         config.adam_beta1,
@@ -231,50 +296,82 @@ def train_mlp(X, targets, config: TrainConfig) -> MlpModel:
         config.adam_eps,
     )
 
-    best_loss = np.inf
-    best_params = [p.copy() for p in params]
-    since_best = 0
+    Xe, Te = np.empty_like(Xf), np.empty_like(Tf)  # this epoch's shuffled rows
+    best = p.like(p.buf.copy())
+    best_loss = np.full(K, np.inf)
+    since_best = np.zeros(K, dtype=int)
+    live = np.arange(K)  # member index of each buffer row
     step = 0
     n_fit = len(fit_idx)
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n_fit)
+        np.take(Xf, order, axis=0, out=Xe)
+        np.take(Tf, order, axis=1, out=Te)
         for start in range(0, n_fit, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, *grads = _forward_backward(
-                params[0], params[1], params[2], params[3], Xf[idx], tf[idx]
-            )
-            if not np.isfinite(loss):
+            stop = start + config.batch_size
+            loss = _backprop(p, Xe[start:stop], Te[:, start:stop], g)
+            if not np.isfinite(loss).all():
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}", epoch
                 )
             step += 1
             corr1 = 1.0 - b1c**step
             corr2 = 1.0 - b2c**step
-            for k, g in enumerate(grads):
-                m[k] = b1c * m[k] + (1.0 - b1c) * g
-                v[k] = b2c * v[k] + (1.0 - b2c) * np.square(g)
-                params[k] = params[k] - lr * (m[k] / corr1) / (
-                    np.sqrt(v[k] / corr2) + eps
-                )
+            # v = b2c*v + (1-b2c)*g^2;  m = b1c*m + (1-b1c)*g
+            v *= b2c
+            np.square(g.buf, out=tmp)
+            tmp *= 1.0 - b2c
+            v += tmp
+            m *= b1c
+            g.buf *= 1.0 - b1c
+            m += g.buf
+            # p -= lr * (m/corr1) / (sqrt(v/corr2) + eps), g and tmp as scratch
+            np.divide(m, corr1, out=g.buf)
+            g.buf *= lr
+            np.divide(v, corr2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            g.buf /= tmp
+            p.buf -= g.buf
 
-        h = np.maximum(Xh @ params[0].T + params[1], 0.0)
-        hold_loss = float(np.mean((h @ params[2] + params[3] - th) ** 2))
-        if not np.isfinite(hold_loss):
+        hold_loss = np.empty(len(live))
+        for k in range(len(live)):  # one member at a time keeps memory small
+            err = _forward(p.like(p.buf[k : k + 1]), Xh)[1][0]
+            err -= Th[k]
+            hold_loss[k] = np.mean(np.square(err, out=err))
+        if not np.isfinite(hold_loss).all():
             raise TrainingDivergedError(
                 f"non-finite held-out loss at epoch {epoch}", epoch
             )
-        if hold_loss < best_loss:
-            best_loss = hold_loss
-            best_params = [p.copy() for p in params]
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
+        better = hold_loss < best_loss[live]
+        best_loss[live[better]] = hold_loss[better]
+        best.buf[live[better]] = p.buf[better]
+        since_best[live] = np.where(better, 0, since_best[live] + 1)
+        keep = better | (since_best[live] < config.patience)
+        if not keep.all():
+            if not keep.any():
                 break
+            live = live[keep]
+            p = p.like(p.buf[keep])
+            g = g.like(g.buf[keep])
+            m, v, tmp = m[keep], v[keep], tmp[keep]
+            Tf, Th, Te = Tf[keep], Th[keep], Te[keep]
 
-    W1, b1, w2, b2 = best_params
-    return MlpModel(W1, b1, w2, float(b2) + mu)
+    return [best.model(k, mu[k]) for k in range(K)]
+
+
+def train_mlp(X, targets, config: TrainConfig) -> MlpModel:
+    """Mini-batch Adam on squared error, returning the best held-out epoch.
+
+    The K = 1 case of ``train_mlp_stack``: deterministic, so two runs with
+    identical inputs and config return parameter-identical models.
+    """
+    X = _as_matrix(X)
+    t = np.asarray(targets, dtype=float)
+    if t.shape != (X.shape[0],):
+        raise ValueError(f"targets shape {t.shape} != ({X.shape[0]},)")
+    return train_mlp_stack(X, t[None], config)[0]
 
 
 def models_equal(a: MlpModel, b: MlpModel, tol: float = 0.0) -> bool:

@@ -4,10 +4,13 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dosedistill.cli import run_command
-from dosedistill.dataset import load_and_validate, split_cohorts
+from dosedistill.cli import _parse_disclosure, run_command
+from dosedistill.dataset import load_and_validate, split_cohorts, standardize
 from dosedistill.distillation import DistillationConfig
+from dosedistill.errors import DataError
 from dosedistill.models import TrainConfig
 from dosedistill.profiles import Disclosure, train_on_demand
 from dosedistill.serialize import pack_from_obj
@@ -351,6 +354,68 @@ class TestDisclosureValues:
         pack.write_text(json.dumps(obj))
         assert self.predict(pack, ",".join(f"{k}={v}" for k, v in row.items())) == 3
         assert "malformed model pack" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def catalog_and_standardizer(tmp_path_factory):
+    data, schema = synth(tmp_path_factory.mktemp("disclose"), n=60)
+    catalog, records = load_and_validate(data, schema)
+    return catalog, standardize(records, catalog).standardizer
+
+
+@pytest.fixture(scope="module")
+def public_pack(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("public")
+    data, schema = synth(tmp)
+    assert run_command([
+        "train", "--data", str(data), "--schema", str(schema),
+        "--out", str(tmp), "--profile", "public", "--grid", "0", *FAST,
+    ]) == 0
+    return tmp / "pack.json"
+
+
+def disclosure_specs(names):
+    """Comma-joined items built from catalog names, '=', values and junk."""
+    text = st.text(alphabet=st.characters(codec="utf-8"), max_size=8)
+    value = st.one_of(
+        text,
+        st.sampled_from(["A", "B", "C", "nan", "inf", "-inf", "1e999", " 2 ", ""]),
+        st.floats(allow_nan=True, allow_infinity=True).map(str),
+        st.integers(-10**6, 10**6).map(str),
+    )
+    name = st.sampled_from(names)
+    item = st.one_of(
+        st.tuples(name, st.just("="), value).map("".join),
+        st.tuples(st.one_of(name, text), st.sampled_from(["=", "", "=="]), value)
+        .map("".join),
+        text,
+    )
+    return st.lists(item, max_size=6).map(",".join)
+
+
+class TestDisclosureSpecs:
+    """Whatever ``--disclose`` holds, it parses or is a named data error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_spec_parses_or_is_data_error(self, catalog_and_standardizer, data):
+        catalog, standardizer = catalog_and_standardizer
+        spec = data.draw(disclosure_specs(list(catalog.names)))
+        try:
+            disclosure = _parse_disclosure(spec, catalog, standardizer)
+        except DataError:
+            return
+        assert disclosure.disclosed and len(disclosure.values) <= catalog.d
+
+    @pytest.mark.parametrize("spec", [
+        ",", "demographic_0", "no_such_feature=1", "=1", "demographic_1=abc",
+        "demographic_0=MARTIAN", "demographic_1=1,demographic_1=2",
+    ])
+    def test_malformed_spec_exits_3_without_a_dose(self, public_pack, capsys, spec):
+        assert run_command(["predict", "--model", str(public_pack), "--disclose", spec]) == 3
+        captured = capsys.readouterr()
+        assert "predicted weekly dose" not in captured.out
+        assert captured.err.startswith("error: ")
 
 
 class TestFixedLambda:

@@ -13,6 +13,7 @@ from dosedistill.models import (
     mlp_new,
     models_equal,
     train_mlp,
+    train_mlp_stack,
 )
 from dosedistill.serialize import model_from_obj, model_to_obj
 
@@ -210,6 +211,47 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(patience=600, max_epochs=500)
+
+
+def stopping_targets():
+    """Five target rows on shared X whose lone fits stop at different epochs."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((120, 3))
+    line = X @ np.array([2.0, -1.0, 0.5]) + 20
+    noise = rng.standard_normal(120)
+    T = np.stack([
+        line,
+        line + 3 * noise,
+        10 * np.sin(3 * X[:, 0]) + 20,
+        0.5 * line + 5 * noise,
+        10 * noise + 20,
+    ])
+    return X, T
+
+
+class TestStack:
+    def test_each_member_equals_its_lone_fit(self):
+        # with patience 3, members 1 and 3 stop at epochs 4 and 19 and the
+        # others run to the 60-epoch cap, so members leave at different epochs
+        X, T = stopping_targets()
+        cfg = TrainConfig(seed=4, max_epochs=60, patience=3)
+        stacked = train_mlp_stack(X, T, cfg)
+        assert len(stacked) == len(T)
+        for k, model in enumerate(stacked):
+            assert models_equal(model, train_mlp(X, T[k], cfg)), f"member {k}"
+
+    def test_one_diverging_member_raises(self):
+        X, T = stopping_targets()
+        T[2] *= 1e200  # finite targets whose squared error overflows
+        with pytest.raises(TrainingDivergedError, match="epoch 1"):
+            train_mlp_stack(X, T, TrainConfig(seed=4, max_epochs=60, patience=3))
+
+    def test_targets_must_be_one_row_per_member(self):
+        X, T = stopping_targets()
+        with pytest.raises(ValueError, match="targets shape"):
+            train_mlp_stack(X, T[:, :-1], TrainConfig(seed=0))
+        with pytest.raises(ValueError, match="targets shape"):
+            train_mlp_stack(X, T[0], TrainConfig(seed=0))
 
 
 class TestSerialization:
