@@ -23,6 +23,7 @@ from .distillation import (
     distillation_loss,
     soft_targets,
     sweep_lambda,
+    sweep_profiles,
     train_distilled,
     train_privileged,
 )

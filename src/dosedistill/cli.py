@@ -13,7 +13,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,12 +29,7 @@ from .dataset import (
     split_cohorts,
     standardize,
 )
-from .distillation import (
-    DistillationConfig,
-    PrivilegedInputs,
-    shared_teacher,
-    sweep_lambda,
-)
+from .distillation import DistillationConfig, PrivilegedInputs, sweep_profiles
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
 from .evaluation import run_study
 from .feature_selection import backward_attribute_elimination
@@ -174,14 +168,6 @@ def _resolve_profiles(catalog, names: Sequence[str] | None) -> list[Profile]:
     return [profiles.resolve(n) for n in names]
 
 
-def _profile_config(config: DistillationConfig, profile: Profile) -> DistillationConfig:
-    # redacted-only privileged inputs are undefined for a profile that
-    # redacts nothing; there the privileged and plain models coincide
-    if profile.is_public and config.privileged_inputs is PrivilegedInputs.REDACTED_ONLY:
-        return replace(config, privileged_inputs=PrivilegedInputs.ALL_FEATURES)
-    return config
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -277,12 +263,11 @@ def _fit_profiles(args):
     config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
     train, valid = split_cohorts(records, catalog, args.ratio, args.seed)
-    bundles, points, teachers = [], [], {}
-    for profile in _resolve_profiles(catalog, args.profile):
-        cfg = _profile_config(config, profile)
-        teacher = shared_teacher(teachers, train, profile, cfg)
-        sweep, best = sweep_lambda(train, valid, profile, cfg, teacher)
-        points.extend((profile.name, lam, rep) for lam, rep in sweep)
+    bundles, points = [], []
+    for sweep, best in sweep_profiles(
+        train, valid, _resolve_profiles(catalog, args.profile), config
+    ):
+        points.extend((best.profile.name, lam, rep) for lam, rep in sweep)
         bundles.append(best)
     pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config, args.ratio)
     return pack, bundles, points
@@ -419,9 +404,10 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
                 raise DataError(
                     f"feature {name!r}: unparseable number {raw!r}"
                 ) from None
-            if not math.isfinite(encoded):
-                raise DataError(f"feature {name!r}: non-finite value {raw!r}")
-        values[idx] = (encoded - standardizer.means[idx]) / standardizer.stds[idx]
+        mean, std = float(standardizer.means[idx]), float(standardizer.stds[idx])
+        values[idx] = (encoded - mean) / std  # plain floats overflow to inf, unwarned
+        if not math.isfinite(values[idx]):
+            raise DataError(f"feature {name!r}: {raw!r} is non-finite once standardized")
     if not values:
         raise DataError("disclosure is empty; pass --disclose name=value,...")
     return Disclosure(frozenset(values), values)
@@ -455,7 +441,10 @@ def _cmd_predict(args) -> int:
         profile, exact = bundle.profile, True
 
     x_visible = [disclosure.values[i] for i in profile.visible_features]
-    dose = float(bundle.distilled.predict([x_visible])[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        dose = float(bundle.distilled.predict([x_visible])[0])
+    if not math.isfinite(dose):
+        raise NumericError(f"profile {profile.name!r} predicts a non-finite dose ({dose})")
     match = "exact match" if exact else "fallback: closest feasible profile"
     print(f"profile: {profile.name} ({match})")
     print(f"predicted weekly dose: {dose:.2f} mg/week")

@@ -132,9 +132,6 @@ class FeatureCatalog:
     def indices_for(self, category: FeatureCategory) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.features) if f.category == category)
 
-    def categories_present(self) -> tuple[FeatureCategory, ...]:
-        return tuple(c for c in FeatureCategory if self.indices_for(c))
-
 
 @dataclass(frozen=True)
 class StandardizationParams:
@@ -228,6 +225,10 @@ def _parse_schema(schema_path: str | Path) -> dict:
                 raise DataError(
                     f"schema {path}: feature entry missing {key!r} (a string): {f}"
                 )
+        if f["kind"] not in (KIND_CATEGORICAL, KIND_NUMERIC):
+            raise DataError(
+                f"schema {path}: feature {f['name']!r} has unknown kind {f['kind']!r}"
+            )
     unit = schema.get("target_unit", "weekly")
     if unit not in ("weekly", "daily"):
         raise DataError(f"schema {path}: target_unit must be 'weekly' or 'daily'")
@@ -264,9 +265,6 @@ def load_and_validate(
     id_col = schema.get("id")
     dose_scale = 7.0 if schema.get("target_unit", "weekly") == "daily" else 1.0
     declared = [(f["name"], FeatureCategory.from_label(f["category"]), f["kind"]) for f in schema["features"]]
-    for name, _, kind in declared:
-        if kind not in (KIND_CATEGORICAL, KIND_NUMERIC):
-            raise DataError(f"schema: feature {name!r} has unknown kind {kind!r}")
     feature_names = [name for name, _, _ in declared]
     if target_col in feature_names:
         raise DataError(f"target column {target_col!r} also declared as a feature")

@@ -21,8 +21,9 @@ shrinks: at weight lambda and temperature T the blended target is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -44,15 +45,12 @@ class PrivilegedInputs(str, Enum):
 
 @dataclass(frozen=True)
 class DistillationConfig:
-    lam: float = 0.0
     lambda_grid: tuple[float, ...] = DEFAULT_GRID
     temperature: float = 1.0
     privileged_inputs: PrivilegedInputs = PrivilegedInputs.ALL_FEATURES
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         if not self.lambda_grid:
             raise ValueError("lambda grid is empty")
         grid = tuple(self.lambda_grid)
@@ -132,25 +130,15 @@ def train_distilled(
     privileged: MlpModel,
     config: DistillationConfig,
 ) -> MlpModel:
-    """Fit the per-profile model on visible features against blended targets."""
+    """Fit the per-profile model on visible features against blended targets,
+    at the one lambda of ``config.lambda_grid``."""
+    if len(config.lambda_grid) != 1:
+        raise ValueError(
+            f"train_distilled fits one lambda; the grid has {len(config.lambda_grid)}"
+        )
     s = _soft_targets(train, profile, privileged, config)
-    targets = _blend(train.y, s, config.lam)
+    targets = _blend(train.y, s, config.lambda_grid[0])
     return train_mlp(train.X[:, list(profile.visible_features)], targets, config.train)
-
-
-def shared_teacher(
-    teachers: dict, train: Cohort, profile: Profile, config: DistillationConfig
-) -> MlpModel:
-    """The privileged model for ``profile``, fitted once per column set.
-
-    A teacher depends only on the training rows, its columns and
-    ``config.train``; ``teachers`` maps column sets to models fitted on one
-    ``train`` with one ``config.train``.
-    """
-    cols = privileged_feature_indices(profile, config.privileged_inputs)
-    if cols not in teachers:
-        teachers[cols] = train_privileged(train, profile, config)
-    return teachers[cols]
 
 
 def sweep_lambda(
@@ -190,3 +178,32 @@ def sweep_lambda(
     best_lam, best_model, best_report = min(rows, key=lambda r: (r[2].mae, r[0]))
     bundle = DistilledBundle(profile, best_model, best_lam, best_report)
     return [(lam, rep) for lam, _, rep in rows], bundle
+
+
+def sweep_profiles(
+    train: Cohort,
+    valid: Cohort,
+    profiles: Sequence[Profile],
+    config: DistillationConfig,
+    teachers: dict | None = None,
+) -> list[tuple[list[tuple[float, EvalReport]], DistilledBundle]]:
+    """``sweep_lambda`` for each profile in order, one teacher per column set.
+
+    A profile that redacts nothing is taught from all features, since
+    redacted-only privileged inputs are undefined for it. A teacher depends
+    only on the training rows, its columns and ``config.train``, so each
+    distinct privileged column set is fitted once, into ``teachers``; a
+    caller may seed it with models fitted on the same ``train`` and
+    ``config.train``, keyed by their column tuples.
+    """
+    teachers = {} if teachers is None else teachers
+    results = []
+    for profile in profiles:
+        cfg = config
+        if profile.is_public:
+            cfg = replace(config, privileged_inputs=PrivilegedInputs.ALL_FEATURES)
+        cols = privileged_feature_indices(profile, cfg.privileged_inputs)
+        if cols not in teachers:
+            teachers[cols] = train_privileged(train, profile, cfg)
+        results.append(sweep_lambda(train, valid, profile, cfg, teachers[cols]))
+    return results

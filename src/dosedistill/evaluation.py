@@ -196,12 +196,7 @@ def run_study(
     both arms. Each run fits one teacher per privileged column set; the
     all-features teacher is the non-redacted MLP itself, the same fit.
     """
-    from .distillation import (
-        PrivilegedInputs,
-        privileged_feature_indices,
-        shared_teacher,
-        sweep_lambda,
-    )
+    from .distillation import sweep_profiles
 
     if runs < 1:
         raise ValueError("need at least one run")
@@ -225,18 +220,18 @@ def run_study(
         mlp = train_mlp(train.X, train.y, run_config.train)
         mlp_report = evaluate_model(mlp, valid, public)
         add("mlp", public.name, mlp_report)
-        all_features = privileged_feature_indices(public, PrivilegedInputs.ALL_FEATURES)
-        teachers = {all_features: mlp}
-
+        redacting = [p for p in profile_catalog if not p.is_public]
+        swept = iter(sweep_profiles(
+            train, valid, redacting, run_config, {tuple(range(catalog.d)): mlp}
+        ))
         for profile in profile_catalog:
             if profile.is_public:
-                add("partial", profile.name, mlp_report)
-                add("distilled", profile.name, mlp_report)
-                continue
-            teacher = shared_teacher(teachers, train, profile, run_config)
-            points, best = sweep_lambda(train, valid, profile, run_config, teacher)
-            add("partial", profile.name, points[0][1])
-            add("distilled", profile.name, best.metrics)
+                partial = distilled = mlp_report
+            else:
+                points, best = next(swept)
+                partial, distilled = points[0][1], best.metrics
+            add("partial", profile.name, partial)
+            add("distilled", profile.name, distilled)
 
     return {
         (kind, name): StudyResult(kind, name, tuple(reps))

@@ -187,7 +187,7 @@ def train_on_demand(
     The new profile redacts exactly the complement of the disclosed set; its
     imitation weight is picked on ``valid`` from ``config``'s grid.
     """
-    from .distillation import sweep_lambda
+    from .distillation import sweep_profiles
 
     d = train.catalog.d
     bad = sorted(i for i in disclosure.disclosed if not 0 <= i < d)
@@ -198,5 +198,5 @@ def train_on_demand(
         ",".join(map(str, sorted(disclosure.disclosed))).encode()
     ).hexdigest()[:8]
     profile = Profile(f"custom-{digest}", frozenset(), redacted, d)
-    _, bundle = sweep_lambda(train, valid, profile, config)
+    [(_, bundle)] = sweep_profiles(train, valid, [profile], config)
     return bundle

@@ -21,7 +21,7 @@ from .dataset import Feature, FeatureCatalog, FeatureCategory, StandardizationPa
 from .distillation import DistillationConfig, DistilledBundle, PrivilegedInputs
 from .errors import DataError
 from .evaluation import EvalReport, SafetyPartition
-from .models import LinearModel, MlpModel, TrainConfig
+from .models import MlpModel, TrainConfig
 from .profiles import Profile
 
 FORMAT_VERSION = 2
@@ -48,13 +48,7 @@ def decode_scalar(s: str) -> float:
     return float.fromhex(s)
 
 
-def model_to_obj(model: LinearModel | MlpModel) -> dict:
-    if isinstance(model, LinearModel):
-        return {
-            "kind": "linear",
-            "alpha": encode_array(model.alpha),
-            "beta": encode_scalar(model.beta),
-        }
+def model_to_obj(model: MlpModel) -> dict:
     if isinstance(model, MlpModel):
         return {
             "kind": "mlp",
@@ -68,10 +62,8 @@ def model_to_obj(model: LinearModel | MlpModel) -> dict:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
-def model_from_obj(obj: dict) -> LinearModel | MlpModel:
+def model_from_obj(obj: dict) -> MlpModel:
     kind = obj.get("kind")
-    if kind == "linear":
-        return LinearModel(decode_array(obj["alpha"]), decode_scalar(obj["beta"]))
     if kind == "mlp":
         return MlpModel(
             decode_array(obj["W1"]),

@@ -56,7 +56,7 @@ def test_criterion_1_lambda_zero_equivalence(tmp_path):
         train, _ = split_cohorts(records, catalog, 0.7, seed=1)
         for profile in default_catalog(catalog):
             config = DistillationConfig(
-                lam=0.0, train=TrainConfig(seed=13, max_epochs=120, patience=15)
+                lambda_grid=(0.0,), train=TrainConfig(seed=13, max_epochs=120, patience=15)
             )
             teacher = train_privileged(train, profile, config)
             student = train_distilled(train, profile, teacher, config)
@@ -180,7 +180,7 @@ def test_criterion_6_temperature_pathology(tmp_path):
 
         def fit(temperature: float):
             config = DistillationConfig(
-                lam=lam, temperature=temperature, train=train_config
+                lambda_grid=(lam,), temperature=temperature, train=train_config
             )
             teacher = train_privileged(train, profile, config)
             student = train_distilled(train, profile, teacher, config)

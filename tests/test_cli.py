@@ -2,7 +2,9 @@
 
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,9 @@ from dosedistill.cli import _parse_disclosure, run_command
 from dosedistill.dataset import load_and_validate, split_cohorts, standardize
 from dosedistill.distillation import DistillationConfig
 from dosedistill.errors import DataError
-from dosedistill.models import TrainConfig
+from dosedistill.models import MlpModel, TrainConfig
 from dosedistill.profiles import Disclosure, train_on_demand
-from dosedistill.serialize import pack_from_obj
+from dosedistill.serialize import pack_from_obj, pack_to_obj, save_json
 
 FAST = [
     "--max-epochs", "25", "--patience", "5", "--jobs", "1",
@@ -134,6 +136,20 @@ class TestProfilesList:
         schema.write_text(json.dumps(obj))
         assert run_command(["profiles", "list", "--schema", str(schema)]) == 3
         assert f"missing {key!r}" in capsys.readouterr().err
+
+    def test_unknown_kind_exits_3_like_prepare(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        obj = json.loads(schema.read_text())
+        obj["features"][0]["kind"] = "bogus"
+        schema.write_text(json.dumps(obj))
+        for argv in (
+            ["profiles", "list", "--schema", str(schema)],
+            ["prepare", "--data", str(data), "--schema", str(schema)],
+        ):
+            assert run_command(argv) == 3
+            captured = capsys.readouterr()
+            assert "unknown kind 'bogus'" in captured.err
+            assert "Public patient" not in captured.out
 
 
 class TestSelectFeatures:
@@ -327,7 +343,9 @@ class TestDisclosureValues:
     def predict(self, pack, pairs):
         return run_command(["predict", "--model", str(pack), "--disclose", pairs])
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    # demographic_2's training std is below 1, so +-1.79e308 overflows to
+    # +-inf once standardized
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.79e308", "-1.79e308"])
     def test_non_finite_value_exits_3_without_a_dose(
         self, pack_and_row, capsys, value
     ):
@@ -338,6 +356,23 @@ class TestDisclosureValues:
         captured = capsys.readouterr()
         assert "predicted weekly dose" not in captured.out
         assert "non-finite" in captured.err and "demographic_2" in captured.err
+
+    def test_non_finite_dose_exits_4_without_a_dose(self, pack_and_row, capsys):
+        pack, row = pack_and_row
+        catalog, standardizer, bundles, config, ratio = pack_from_obj(
+            json.loads(pack.read_text())
+        )
+        hidden, dim = bundles[0].distilled.W1.shape
+        # every hidden unit outputs 1e308, so the output sum overflows to inf
+        overflowing = MlpModel(
+            np.zeros((hidden, dim)), np.full(hidden, 1e308), np.ones(hidden), 0.0
+        )
+        bundles = [replace(bundles[0], distilled=overflowing)]
+        save_json(pack, pack_to_obj(catalog, standardizer, bundles, config, ratio))
+        assert self.predict(pack, ",".join(f"{k}={v}" for k, v in row.items())) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite dose" in captured.err
 
     def test_repeated_feature_exits_3_without_a_dose(self, pack_and_row, capsys):
         pack, row = pack_and_row

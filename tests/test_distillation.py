@@ -1,10 +1,13 @@
 """Imitation objective, privileged models, and the lambda sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dosedistill import distillation
 from dosedistill.dataset import load_and_validate, split_cohorts
 from dosedistill.distillation import (
     DistillationConfig,
@@ -13,6 +16,7 @@ from dosedistill.distillation import (
     distillation_loss,
     soft_targets,
     sweep_lambda,
+    sweep_profiles,
     train_distilled,
     train_privileged,
 )
@@ -130,7 +134,7 @@ class TestDistilled:
             profiles.by_name("With all except genotypic"),
             profiles.by_name("Background except others"),
         ):
-            config = DistillationConfig(lam=0.0, train=fast_train(11))
+            config = DistillationConfig(lambda_grid=(0.0,), train=fast_train(11))
             teacher = train_privileged(train, profile, config)
             student = train_distilled(train, profile, teacher, config)
             plain = train_mlp(
@@ -144,7 +148,7 @@ class TestDistilled:
         profile = profiles.by_name("With all except genotypic")
         c = 10.0
         teacher = constant_model(catalog.d, c)
-        config = DistillationConfig(lam=1.0, train=fast_train(5))
+        config = DistillationConfig(lambda_grid=(1.0,), train=fast_train(5))
         student = train_distilled(train, profile, teacher, config)
         preds = student.predict(train.X[:, list(profile.visible_features)])
         # constant-target regression oracle: the best fit IS the constant
@@ -155,7 +159,7 @@ class TestDistilled:
         catalog, train, valid = cohorts
         profiles = default_catalog(catalog)
         rng = np.random.default_rng(0)
-        config = DistillationConfig(lam=0.5, train=fast_train(7))
+        config = DistillationConfig(lambda_grid=(0.5,), train=fast_train(7))
         for profile in profiles:
             if profile.is_public:
                 continue
@@ -168,6 +172,53 @@ class TestDistilled:
                 corrupted[list(profile.redacted_sorted)] = rng.uniform(-1e6, 1e6)
                 visible2, _ = apply_mask(profile, corrupted)
                 assert student.predict([visible2])[0] == base
+
+    def test_multi_point_grid_rejected(self, cohorts):
+        catalog, train, _ = cohorts
+        profile = default_catalog(catalog).by_name("With all except genotypic")
+        config = DistillationConfig(lambda_grid=(0.0, 0.5), train=fast_train())
+        teacher = constant_model(catalog.d, 1.0)
+        with pytest.raises(ValueError, match="one lambda"):
+            train_distilled(train, profile, teacher, config)
+
+
+class TestSweepProfiles:
+    @pytest.mark.parametrize("mode, teachers_fitted", [
+        (PrivilegedInputs.ALL_FEATURES, 1),
+        # the public profile falls back to all features; the other eight
+        # redact eight distinct column sets
+        (PrivilegedInputs.REDACTED_ONLY, 9),
+    ])
+    def test_one_teacher_per_column_set_and_same_bundles(
+        self, cohorts, monkeypatch, mode, teachers_fitted
+    ):
+        catalog, train, valid = cohorts
+        profiles = list(default_catalog(catalog))
+        config = DistillationConfig(
+            lambda_grid=(0.0, 0.5), privileged_inputs=mode, train=fast_train(4)
+        )
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1].name)
+            return train_privileged(*args)
+
+        monkeypatch.setattr(distillation, "train_privileged", counting)
+        results = sweep_profiles(train, valid, profiles, config)
+        monkeypatch.undo()
+        assert len(calls) == teachers_fitted
+
+        assert [best.profile for _, best in results] == profiles
+        for profile, (points, best) in zip(profiles, results):
+            cfg = config
+            if profile.is_public:
+                cfg = replace(config, privileged_inputs=PrivilegedInputs.ALL_FEATURES)
+            ref_points, ref_best = sweep_lambda(
+                train, valid, profile, cfg, train_privileged(train, profile, cfg)
+            )
+            assert points == ref_points, profile.name
+            assert best.lam == ref_best.lam
+            assert models_equal(best.distilled, ref_best.distilled), profile.name
 
 
 class TestSweep:
@@ -237,7 +288,7 @@ class TestTemperaturePath:
 
         def mean_abs_pred(temperature):
             config = DistillationConfig(
-                lam=0.5, temperature=temperature, train=fast_train(3)
+                lambda_grid=(0.5,), temperature=temperature, train=fast_train(3)
             )
             teacher = train_privileged(train, profile, config)
             student = train_distilled(train, profile, teacher, config)

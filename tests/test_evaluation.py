@@ -209,6 +209,20 @@ class TestRunStudy:
         assert mean == pytest.approx(np.mean(vals))
         assert std == pytest.approx(np.std(vals))
 
+    def test_all_features_teacher_is_the_mlp_arm(self, dataset, monkeypatch):
+        from dosedistill import distillation
+
+        catalog, records = dataset
+        calls = []
+        real = distillation.train_privileged
+        monkeypatch.setattr(
+            distillation, "train_privileged",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        run_study(records, catalog, default_catalog(catalog), self.fast_config(),
+                  runs=1, base_seed=2)
+        assert calls == []
+
     def test_split_seed_derivation(self, dataset):
         """Run j must use split seed base_seed + j: a 2-run study's second
         run equals a 1-run study at base_seed + 1."""

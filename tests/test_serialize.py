@@ -32,8 +32,10 @@ def test_array_codec_bit_faithful():
 
 
 def test_unknown_model_kind_rejected():
-    with pytest.raises(DataError, match="unknown model kind"):
-        model_from_obj({"kind": "forest"})
+    linear = {"kind": "linear", "alpha": encode_array(np.ones(3)), "beta": (1.0).hex()}
+    for obj in ({"kind": "forest"}, linear):
+        with pytest.raises(DataError, match="unknown model kind"):
+            model_from_obj(obj)
 
 
 @pytest.fixture(scope="module")
