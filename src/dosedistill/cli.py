@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -28,6 +27,7 @@ from .dataset import (
     load_and_validate,
     split_cohorts,
     standardize,
+    write_csv,
 )
 from .distillation import DistillationConfig, PrivilegedInputs, sweep_profiles
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
@@ -109,10 +109,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def _distill_config(args) -> DistillationConfig:
-    """The run's grid; ``train --lambda X`` is the one-point grid (X,)."""
-    lam = getattr(args, "lam", None)
     return DistillationConfig(
-        lambda_grid=_parse_grid(args.grid) if lam is None else (lam,),
+        lambda_grid=_parse_grid(args.grid),
         privileged_inputs=PrivilegedInputs(args.privileged_inputs),
         train=_train_config(args),
     )
@@ -184,10 +182,10 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise_std,
         base_dose=args.base_dose,
     )
-    rows, schema = generate_synthetic(spec, args.seed)
-    write_dataset(rows, schema, out / "data.csv", out / "schema.json")
+    columns, schema = generate_synthetic(spec, args.seed)
+    write_dataset(columns, schema, out / "data.csv", out / "schema.json")
     serialize.save_json(out / "run_config.json", _run_config_obj(args, "synth"))
-    print(f"synth: wrote {len(rows)} records (d={spec.d}) to {out}")
+    print(f"synth: wrote {spec.n} records (d={spec.d}) to {out}")
     return EXIT_OK
 
 
@@ -275,11 +273,9 @@ def _fit_profiles(args):
 
 def _write_table(path: Path, header: Sequence[str], rows) -> None:
     """A CSV with one header row; floats are written with six significant digits."""
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+    write_csv(path, header, (
+        [f"{v:.6g}" if isinstance(v, float) else v for v in row] for row in rows
+    ))
 
 
 def _cmd_train(args) -> int:
@@ -445,6 +441,10 @@ def _cmd_predict(args) -> int:
         dose = float(bundle.distilled.predict([x_visible])[0])
     if not math.isfinite(dose):
         raise NumericError(f"profile {profile.name!r} predicts a non-finite dose ({dose})")
+    if dose <= 0:
+        raise NumericError(
+            f"profile {profile.name!r} predicts a non-positive dose ({dose:.2f} mg/week)"
+        )
     match = "exact match" if exact else "fallback: closest feasible profile"
     print(f"profile: {profile.name} ({match})")
     print(f"predicted weekly dose: {dose:.2f} mg/week")
@@ -508,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--profile", action="append",
                    help="profile name (repeatable; default: all nine)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="train at this one imitation weight: a one-point "
-                        "grid that overrides --grid")
     _add_train_args(p)
     p.set_defaults(func=_cmd_train)
 
@@ -546,12 +543,6 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except NoFeasibleProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,5 +1,8 @@
 """Patient dataset loading, validation, encoding, standardization, and splits.
 
+Every file the package reads or writes goes through this module, so it alone
+fixes the CSV dialect (``write_csv``) and the JSON layout (``save_json``).
+
 The on-disk format is a plain CSV with a header row plus a sidecar schema
 JSON declaring, per column, the feature category and kind::
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -204,16 +207,37 @@ class Cohort:
         )
 
 
+def load_json(path: str | Path) -> Any:
+    """A UTF-8 JSON file's value; an unreadable file is a DataError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not valid UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+
+
+def save_json(path: str | Path, obj: Any) -> None:
+    """Write ``obj`` as UTF-8 JSON with sorted keys and a fixed indent, so equal
+    objects give equal bytes."""
+    Path(path).write_text(
+        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as a UTF-8 CSV with bare-newline line ends."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _parse_schema(schema_path: str | Path) -> dict:
     path = Path(schema_path)
-    try:
-        schema = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"schema file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"schema {path} is not valid UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"schema {path} is not valid JSON: {exc}") from None
+    schema = load_json(path)
     if not isinstance(schema, dict) or not isinstance(schema.get("target"), str):
         raise DataError(f"schema {path}: missing string key 'target'")
     feats = schema.get("features")
@@ -407,8 +431,7 @@ def split_cohorts(
 
 def cohort_to_csv(cohort: Cohort, path: str | Path) -> None:
     """Dump the encoded, standardized matrix for inspection."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", *cohort.catalog.names, "weekly_dose_mg"])
-        for rec_id, x, y in zip(cohort.ids, cohort.X, cohort.y):
-            writer.writerow([rec_id, *(f"{v:.10g}" for v in x), f"{y:.10g}"])
+    write_csv(path, ["id", *cohort.catalog.names, "weekly_dose_mg"], (
+        [rec_id, *(f"{v:.10g}" for v in x), f"{y:.10g}"]
+        for rec_id, x, y in zip(cohort.ids, cohort.X, cohort.y)
+    ))

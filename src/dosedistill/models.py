@@ -374,12 +374,8 @@ def train_mlp(X, targets, config: TrainConfig) -> MlpModel:
     return train_mlp_stack(X, t[None], config)[0]
 
 
-def models_equal(a: MlpModel, b: MlpModel, tol: float = 0.0) -> bool:
+def models_equal(a: MlpModel, b: MlpModel) -> bool:
     if a.W1.shape != b.W1.shape:
         return False
     parts = ((a.W1, b.W1), (a.b1, b.b1), (a.w2, b.w2))
-    if tol == 0.0:
-        return all(np.array_equal(x, y) for x, y in parts) and a.b2 == b.b2
-    return all(np.allclose(x, y, rtol=0, atol=tol) for x, y in parts) and abs(
-        a.b2 - b.b2
-    ) <= tol
+    return all(np.array_equal(x, y) for x, y in parts) and a.b2 == b.b2

@@ -12,12 +12,12 @@ import base64
 import hashlib
 import json
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .dataset import Feature, FeatureCatalog, FeatureCategory, StandardizationParams
+from .dataset import load_json, save_json  # re-exported: callers use serialize's names
 from .distillation import DistillationConfig, DistilledBundle, PrivilegedInputs
 from .errors import DataError
 from .evaluation import EvalReport, SafetyPartition
@@ -186,7 +186,12 @@ def pack_to_obj(
     split seed is the training seed) lets `predict` train an on-demand
     profile exactly as the stored ones were. ``digest`` hashes all the rest,
     so an edit to any value or key, labels included, no longer decodes.
+    The pack stores no temperature, so only ``temperature=1`` can be packed.
     """
+    if config.temperature != 1.0:
+        raise ValueError(
+            f"a pack stores no temperature; cannot pack temperature={config.temperature}"
+        )
     body = {
         "format_version": FORMAT_VERSION,
         "catalog": catalog_to_obj(catalog),
@@ -229,20 +234,3 @@ def pack_from_obj(obj: dict):
     if not canonical:
         raise DataError("malformed model pack: it is not what its decoded parts encode to")
     return parts
-
-
-def save_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_json(path: str | Path) -> Any:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not valid UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None

@@ -16,8 +16,6 @@ cannot emit non-positive doses.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -25,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import KIND_CATEGORICAL, KIND_NUMERIC, FeatureCategory
+from .dataset import KIND_CATEGORICAL, KIND_NUMERIC, FeatureCategory, save_json, write_csv
 from .errors import DataError
 
 TARGET_COLUMN = "weekly_dose_mg"
@@ -163,29 +161,21 @@ def _bin_labels(column: np.ndarray, levels: int) -> list[str]:
     return [chr(ord("A") + int(c)) for c in codes]
 
 
-def generate_synthetic(
-    spec: SyntheticSpec, seed: int
-) -> tuple[list[dict[str, str]], dict]:
-    """Generate rows (CSV-ready strings) plus the matching schema manifest.
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[dict[str, list[str]], dict]:
+    """Generate CSV-ready string columns plus the matching schema manifest.
 
-    A pure function of ``(spec, seed)``: identical inputs produce identical
-    rows, byte for byte once written.
+    The columns are in file order: the id, the features in schema order, then
+    the dose. A pure function of ``(spec, seed)``: identical inputs produce
+    identical columns, byte for byte once written.
     """
     layout, latent, _, _, dose = _generate(spec, seed)
-    columns: dict[str, list[str]] = {}
+    columns = {ID_COLUMN: [f"p{i:05d}" for i in range(spec.n)]}
     for j, (name, _, kind) in enumerate(layout):
         if kind == KIND_CATEGORICAL:
             columns[name] = _bin_labels(latent[:, j], spec.categorical_levels)
         else:
             columns[name] = [f"{v:.6f}" for v in latent[:, j]]
-
-    rows = []
-    for i in range(spec.n):
-        row = {ID_COLUMN: f"p{i:05d}"}
-        for name, _, _ in layout:
-            row[name] = columns[name][i]
-        row[TARGET_COLUMN] = f"{dose[i]:.6f}"
-        rows.append(row)
+    columns[TARGET_COLUMN] = [f"{v:.6f}" for v in dose]
 
     schema = {
         "target": TARGET_COLUMN,
@@ -196,7 +186,7 @@ def generate_synthetic(
             for name, cat, kind in layout
         ],
     }
-    return rows, schema
+    return columns, schema
 
 
 def synthetic_latents(spec: SyntheticSpec, seed: int) -> SyntheticLatents:
@@ -206,16 +196,10 @@ def synthetic_latents(spec: SyntheticSpec, seed: int) -> SyntheticLatents:
 
 
 def write_dataset(
-    rows: list[Mapping[str, str]],
+    columns: Mapping[str, list[str]],
     schema: dict,
     data_path: str | Path,
     schema_path: str | Path,
 ) -> None:
-    fieldnames = [ID_COLUMN] + [f["name"] for f in schema["features"]] + [TARGET_COLUMN]
-    with Path(data_path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    Path(schema_path).write_text(
-        json.dumps(schema, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_csv(data_path, list(columns), zip(*columns.values()))
+    save_json(schema_path, schema)

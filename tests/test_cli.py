@@ -77,20 +77,33 @@ class TestSynthPrepare:
             assert code == 2, grid
             assert "bad grid" in capsys.readouterr().err, grid
 
-    @pytest.mark.parametrize("bad_file", ["data", "schema", "pack"])
+    @pytest.mark.parametrize("bad_file", [
+        "data", "schema", "pack",
+        "schema-missing", "schema-not-json", "pack-missing", "pack-not-json",
+    ])
     def test_non_utf8_file_is_data_error(self, tmp_path, capsys, bad_file):
+        """An input that is not UTF-8, is missing or is not JSON exits 3 and is named."""
         data, schema = synth(tmp_path)
         pack = tmp_path / "pack.json"
         pack.write_text('{"format_version": 1}')
-        bad = {"data": data, "schema": schema, "pack": pack}[bad_file]
-        bad.write_bytes(bad.read_bytes().replace(b"1", b"\xe9", 1))
-        if bad_file == "pack":
+        name, _, damage = bad_file.partition("-")
+        bad = {"data": data, "schema": schema, "pack": pack}[name]
+        if damage == "missing":
+            bad.unlink()
+            expected = "file not found"
+        elif damage == "not-json":
+            bad.write_text("{not json", encoding="utf-8")
+            expected = "not valid JSON"
+        else:
+            bad.write_bytes(bad.read_bytes().replace(b"1", b"\xe9", 1))
+            expected = "not valid UTF-8"
+        if name == "pack":
             argv = ["predict", "--model", str(pack), "--disclose", "demographic_0=1"]
         else:
             argv = ["prepare", "--data", str(data), "--schema", str(schema)]
         assert run_command(argv) == 3
         err = capsys.readouterr().err
-        assert "not valid UTF-8" in err and bad.name in err
+        assert expected in err and bad.name in err
 
     @pytest.mark.parametrize(
         "grid",
@@ -374,6 +387,17 @@ class TestDisclosureValues:
         assert captured.out == ""
         assert "non-finite dose" in captured.err
 
+    # demographic_1 far below its training values drives the public profile's
+    # dose below zero (about -3 mg/week at -150)
+    @pytest.mark.parametrize("value", ["-150", "-1e6"])
+    def test_non_positive_dose_exits_4_without_a_dose(self, pack_and_row, capsys, value):
+        pack, row = pack_and_row
+        row["demographic_1"] = value
+        assert self.predict(pack, ",".join(f"{k}={v}" for k, v in row.items())) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-positive dose" in captured.err
+
     def test_repeated_feature_exits_3_without_a_dose(self, pack_and_row, capsys):
         pack, row = pack_and_row
         pairs = ",".join(f"{k}={v}" for k, v in row.items()) + ",demographic_1=0.5"
@@ -460,27 +484,11 @@ class TestFixedLambda:
         code = run_command([
             "train", "--data", str(data), "--schema", str(schema),
             "--out", str(out), "--profile", "With all except genotypic",
-            "--lambda", "0.7", *FAST,
+            "--grid", "0.7", *FAST,
         ])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["With all except genotypic"]["lambda"] == 0.7
-
-    def test_fixed_lambda_is_a_one_point_sweep(self, tmp_path):
-        data, schema = synth(tmp_path)
-        outs = {}
-        for name, weight in (("fixed", ["--lambda", "0.7", "--grid", "0,1"]),
-                             ("grid", ["--grid", "0.7"])):
-            outs[name] = tmp_path / name
-            assert run_command([
-                "train", "--data", str(data), "--schema", str(schema),
-                "--out", str(outs[name]), "--profile", "With all except genotypic",
-                *weight, *FAST,
-            ]) == 0
-        for fname in ("pack.json", "report.json"):
-            assert (outs["fixed"] / fname).read_bytes() == (
-                outs["grid"] / fname
-            ).read_bytes()
 
     def test_redacted_only_mode_handles_public_profile(self, tmp_path):
         data, schema = synth(tmp_path)
@@ -489,7 +497,7 @@ class TestFixedLambda:
             "train", "--data", str(data), "--schema", str(schema),
             "--out", str(out), "--profile", "public",
             "--profile", "With all except genotypic",
-            "--privileged-inputs", "redacted_only", "--lambda", "0.5", *FAST,
+            "--privileged-inputs", "redacted_only", "--grid", "0.5", *FAST,
         ])
         assert code == 0
         report = json.loads((out / "report.json").read_text())

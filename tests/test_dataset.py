@@ -1,10 +1,14 @@
 """Loading, validation, encoding, standardization, splitting, synthesis."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dosedistill
 from dosedistill.dataset import (
     Cohort,
     FeatureCategory,
@@ -320,6 +324,18 @@ class TestSynthetic:
         assert (a / "d.csv").read_bytes() == (b / "d.csv").read_bytes()
         assert (a / "s.json").read_bytes() == (b / "s.json").read_bytes()
 
+    def test_csv_equals_a_row_by_row_dict_writer(self, tmp_path):
+        spec = SyntheticSpec(n=50)
+        columns, schema = generate_synthetic(spec, seed=3)
+        write_dataset(columns, schema, tmp_path / "d.csv", tmp_path / "s.json")
+        fieldnames = ["patient_id", *(f["name"] for f in schema["features"]), "weekly_dose_mg"]
+        with (tmp_path / "ref.csv").open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
+            writer.writeheader()
+            for i in range(spec.n):
+                writer.writerow({name: column[i] for name, column in columns.items()})
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_different_seed_differs(self):
         spec = SyntheticSpec(n=50)
         assert generate_synthetic(spec, 1)[0] != generate_synthetic(spec, 2)[0]
@@ -378,3 +394,17 @@ def test_split_partition_property(n, ratio, seed):
     ids = sorted([*train.ids, *valid.ids])
     assert ids == sorted(records.ids)
     assert len(train) >= 1 and len(valid) >= 1
+
+
+def test_only_the_dataset_module_touches_files():
+    """Every file format is decided in dataset.py: no other module opens,
+    reads or writes a file or makes its own CSV writer."""
+    banned = ("open(", "read_text(", "write_text(", "read_bytes(", "write_bytes(",
+              "csv.writer", "csv.DictWriter")
+    package = Path(dosedistill.__file__).parent
+    found = [
+        f"{path.name}: {token}"
+        for path in sorted(package.glob("*.py")) if path.name != "dataset.py"
+        for token in banned if token in path.read_text(encoding="utf-8")
+    ]
+    assert found == []

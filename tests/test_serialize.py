@@ -1,6 +1,7 @@
 """Pack round trips and format guards."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,13 @@ def test_pack_round_trip_and_version_guard(trained):
         obj["format_version"] = version
         with pytest.raises(DataError, match=f"version {version}"):
             pack_from_obj(obj)
+
+
+def test_pack_refuses_a_temperature_it_cannot_store(trained):
+    catalog, train, bundle, config = trained
+    hot = replace(config, temperature=50.0)
+    with pytest.raises(ValueError, match="temperature"):
+        pack_to_obj(catalog, train.standardizer, [bundle], hot, 0.7)
 
 
 def key_paths(obj, prefix=()):
