@@ -20,7 +20,6 @@ from .distillation import (
     DistillationConfig,
     DistilledBundle,
     PrivilegedInputs,
-    distillation_loss,
     soft_targets,
     sweep_lambda,
     sweep_profiles,
@@ -64,7 +63,6 @@ from .profiles import (
     Disclosure,
     Profile,
     ProfileCatalog,
-    apply_mask,
     default_catalog,
     train_on_demand,
 )

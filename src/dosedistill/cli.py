@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .distillation import DistillationConfig, PrivilegedInputs, sweep_profiles
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
-from .evaluation import run_study
+from .evaluation import RISK_LABELS, run_study
 from .feature_selection import backward_attribute_elimination
 from .models import TrainConfig
 from .profiles import (
@@ -112,6 +112,7 @@ def _distill_config(args) -> DistillationConfig:
     return DistillationConfig(
         lambda_grid=_parse_grid(args.grid),
         privileged_inputs=PrivilegedInputs(args.privileged_inputs),
+        split_ratio=args.ratio,
         train=_train_config(args),
     )
 
@@ -260,14 +261,14 @@ def _fit_profiles(args):
     """Sweep the grid for each requested profile: (pack, bundles, grid points)."""
     config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
-    train, valid = split_cohorts(records, catalog, args.ratio, args.seed)
+    train, valid = config.split(records, catalog)
     bundles, points = [], []
     for sweep, best in sweep_profiles(
         train, valid, _resolve_profiles(catalog, args.profile), config
     ):
         points.extend((best.profile.name, lam, rep) for lam, rep in sweep)
         bundles.append(best)
-    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config, args.ratio)
+    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config)
     return pack, bundles, points
 
 
@@ -322,15 +323,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
+    config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
     profiles = default_catalog(catalog)
-    config = _distill_config(args)
-    results = run_study(
-        records, catalog, profiles, config,
-        runs=args.runs, base_seed=args.seed, ratio=args.ratio,
-    )
-
-    from .evaluation import RISK_LABELS
+    results = run_study(records, catalog, profiles, config, runs=args.runs)
 
     study_obj = {"risk_legend": dict(RISK_LABELS)}
     study_obj |= {
@@ -410,7 +406,7 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
 
 
 def _cmd_predict(args) -> int:
-    catalog, standardizer, bundles, config, ratio = serialize.pack_from_obj(
+    catalog, standardizer, bundles, config = serialize.pack_from_obj(
         serialize.load_json(args.model)
     )
     disclosure = _parse_disclosure(args.disclose, catalog, standardizer)
@@ -426,7 +422,7 @@ def _cmd_predict(args) -> int:
             ) from None
         # train as the pack's profiles were: its split, grid and privileged mode
         data_catalog, records = load_and_validate(args.data, args.schema)
-        train, valid = split_cohorts(records, data_catalog, ratio, config.train.seed)
+        train, valid = config.split(records, data_catalog)
         if not (
             data_catalog == catalog
             and np.array_equal(train.standardizer.means, standardizer.means)

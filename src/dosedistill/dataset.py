@@ -98,13 +98,6 @@ class Feature:
                 f"after fitting; known labels: {sorted(self.encoding_map)})"
             ) from None
 
-    def decode(self, code: int) -> str:
-        assert self.encoding_map is not None
-        for label, c in self.encoding_map.items():
-            if c == code:
-                return label
-        raise DataError(f"feature {self.name!r}: no label for code {code}")
-
 
 @dataclass(frozen=True)
 class FeatureCatalog:

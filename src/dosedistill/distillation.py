@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Cohort
+from .dataset import Cohort, EncodedRows, FeatureCatalog, split_cohorts
 from .errors import DataError
 from .evaluation import EvalReport, evaluate_model
 from .models import MlpModel, TrainConfig, train_mlp, train_mlp_stack
@@ -45,12 +45,18 @@ class PrivilegedInputs(str, Enum):
 
 @dataclass(frozen=True)
 class DistillationConfig:
+    """The whole training recipe: the split, the grid, the teacher's inputs
+    and the per-model ``TrainConfig``, whose seed is also the split seed."""
+
     lambda_grid: tuple[float, ...] = DEFAULT_GRID
     temperature: float = 1.0
     privileged_inputs: PrivilegedInputs = PrivilegedInputs.ALL_FEATURES
+    split_ratio: float = 0.65
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        if not 0 < self.split_ratio < 1:
+            raise ValueError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
         if not self.lambda_grid:
             raise ValueError("lambda grid is empty")
         grid = tuple(self.lambda_grid)
@@ -58,6 +64,10 @@ class DistillationConfig:
             raise ValueError("lambda grid must be strictly ascending within [0, 1]")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
+
+    def split(self, records: EncodedRows, catalog: FeatureCatalog) -> tuple[Cohort, Cohort]:
+        """The (train, valid) cohorts this recipe trains and selects on."""
+        return split_cohorts(records, catalog, self.split_ratio, self.train.seed)
 
 
 def privileged_feature_indices(
@@ -86,13 +96,6 @@ def soft_targets(privileged: MlpModel, X_priv, temperature: float) -> np.ndarray
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     return privileged.predict(X_priv) / temperature
-
-
-def distillation_loss(pred: float, y: float, s: float, lam: float) -> float:
-    """Per-example imitation loss; the batch loss is the mean of these."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    return (1.0 - lam) * (pred - y) ** 2 + lam * (pred - s) ** 2
 
 
 @dataclass(frozen=True)
@@ -146,12 +149,12 @@ def sweep_lambda(
     valid: Cohort,
     profile: Profile,
     config: DistillationConfig,
-    privileged: MlpModel | None = None,
+    privileged: MlpModel,
 ) -> tuple[list[tuple[float, EvalReport]], DistilledBundle]:
     """Train one model per grid value against a shared privileged model.
 
-    ``privileged`` is the teacher for this profile; it is fitted here when
-    not given. The blended objective is plain squared error against
+    ``privileged`` is the teacher for this profile, as ``sweep_profiles``
+    picks it. The blended objective is plain squared error against
     (1 - lambda) * y + lambda * s, so the grid's models differ only in their
     targets: they share the visible features, the seed, the initialization,
     the hold-out split and every shuffle. The grid therefore trains as one
@@ -162,8 +165,6 @@ def sweep_lambda(
     bundle with the lowest validation MAE; ties go to the smaller lambda. The
     lambda = 0 point doubles as the partially-redacted baseline.
     """
-    if privileged is None:
-        privileged = train_privileged(train, profile, config)
     grid = config.lambda_grid
     s = _soft_targets(train, profile, privileged, config)
     targets = np.stack([_blend(train.y, s, lam) for lam in grid])

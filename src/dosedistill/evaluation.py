@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import Cohort, EncodedRows, FeatureCatalog, split_cohorts
+from .dataset import Cohort, EncodedRows, FeatureCatalog
 from .models import fit_least_squares, train_mlp
 from .profiles import Profile, ProfileCatalog
 
@@ -183,12 +183,11 @@ def run_study(
     profile_catalog: ProfileCatalog,
     config: "DistillationConfig",
     runs: int = 10,
-    base_seed: int = 0,
-    ratio: float = 0.65,
 ) -> dict[tuple[str, str], StudyResult]:
     """Repeated-split comparison of all four arms.
 
-    Per run j (split seed ``base_seed + j``): a non-redacted linear model and
+    Run j uses ``config`` with training seed ``config.train.seed + j``,
+    which is also its split seed: a non-redacted linear model and
     a non-redacted MLP on the public profile, then per profile the
     partially-redacted model (lambda 0) and the best-lambda imitation model,
     with the best lambda re-selected on that run's validation split.
@@ -211,9 +210,9 @@ def run_study(
         reports.setdefault((kind, profile_name), []).append(report)
 
     for j in range(runs):
-        seed_j = base_seed + j
-        train, valid = split_cohorts(records, catalog, ratio, seed_j)
+        seed_j = config.train.seed + j
         run_config = replace(config, train=replace(config.train, seed=seed_j))
+        train, valid = run_config.split(records, catalog)
 
         linear = fit_least_squares(train.X, train.y)
         add("linear", public.name, evaluate_model(linear, valid, public))

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
 from .dataset import Cohort, FeatureCatalog, FeatureCategory
 from .errors import DataError, NoFeasibleProfileError
 
@@ -91,12 +89,6 @@ class ProfileCatalog:
     def public(self) -> Profile:
         return self.profiles[0]
 
-    def by_name(self, name: str) -> Profile:
-        for p in self.profiles:
-            if p.name == name:
-                return p
-        raise DataError(f"no profile named {name!r}")
-
     def resolve(self, query: str) -> Profile:
         """Find a profile by exact, case-insensitive, or prefix name match."""
         norm = " ".join(query.lower().split())
@@ -131,17 +123,6 @@ def default_catalog(catalog: FeatureCatalog) -> ProfileCatalog:
             )
         )
     return ProfileCatalog(tuple(profiles))
-
-
-def apply_mask(profile: Profile, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a full feature vector into (visible, withheld) parts.
-
-    Catalog order is preserved within each part.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (profile.dim,):
-        raise ValueError(f"expected {profile.dim} features, got shape {x.shape}")
-    return x[list(profile.visible_features)], x[list(profile.redacted_sorted)]
 
 
 @dataclass(frozen=True)

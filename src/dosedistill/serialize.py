@@ -49,17 +49,15 @@ def decode_scalar(s: str) -> float:
 
 
 def model_to_obj(model: MlpModel) -> dict:
-    if isinstance(model, MlpModel):
-        return {
-            "kind": "mlp",
-            "dim": model.dim,
-            "hidden": model.hidden,
-            "W1": encode_array(model.W1),
-            "b1": encode_array(model.b1),
-            "w2": encode_array(model.w2),
-            "b2": encode_scalar(model.b2),
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    return {
+        "kind": "mlp",
+        "dim": model.dim,
+        "hidden": model.hidden,
+        "W1": encode_array(model.W1),
+        "b1": encode_array(model.b1),
+        "w2": encode_array(model.w2),
+        "b2": encode_scalar(model.b2),
+    }
 
 
 def model_from_obj(obj: dict) -> MlpModel:
@@ -177,16 +175,14 @@ def bundle_from_obj(obj: dict) -> DistilledBundle:
     )
 
 
-def pack_to_obj(
-    catalog, standardizer, bundles, config: DistillationConfig, ratio: float
-) -> dict:
+def pack_to_obj(catalog, standardizer, bundles, config: DistillationConfig) -> dict:
     """A model pack: what `predict` serves, and the recipe that trained it.
 
-    The recipe (split ratio, grid, privileged mode and training config; the
-    split seed is the training seed) lets `predict` train an on-demand
-    profile exactly as the stored ones were. ``digest`` hashes all the rest,
-    so an edit to any value or key, labels included, no longer decodes.
-    The pack stores no temperature, so only ``temperature=1`` can be packed.
+    The recipe is ``config``, temperature aside; it lets `predict` split and
+    train an on-demand profile exactly as the stored ones were. ``digest``
+    hashes all the rest, so an edit to any value or key, labels included, no
+    longer decodes. The pack stores no temperature, so only
+    ``temperature=1`` can be packed.
     """
     if config.temperature != 1.0:
         raise ValueError(
@@ -199,14 +195,14 @@ def pack_to_obj(
         "train_config": asdict(config.train),
         "lambda_grid": list(config.lambda_grid),
         "privileged_inputs": config.privileged_inputs.value,
-        "split_ratio": ratio,
+        "split_ratio": config.split_ratio,
         "bundles": [bundle_to_obj(b) for b in bundles],
     }
     return body | {"digest": config_digest(body)}
 
 
 def pack_from_obj(obj: dict):
-    """Decode a pack into ``(catalog, standardizer, bundles, config, ratio)``.
+    """Decode a pack into ``(catalog, standardizer, bundles, config)``.
 
     Anything but what ``pack_to_obj`` writes is a DataError: the decoded
     parts are encoded again and must give back ``obj`` itself, digest
@@ -219,6 +215,7 @@ def pack_from_obj(obj: dict):
         config = DistillationConfig(
             lambda_grid=tuple(obj["lambda_grid"]),
             privileged_inputs=PrivilegedInputs(obj["privileged_inputs"]),
+            split_ratio=obj["split_ratio"],
             train=TrainConfig(**obj["train_config"]),
         )
         parts = (
@@ -226,7 +223,6 @@ def pack_from_obj(obj: dict):
             standardizer_from_obj(obj["standardizer"]),
             [bundle_from_obj(b) for b in obj["bundles"]],
             config,
-            float(obj["split_ratio"]),
         )
         canonical = pack_to_obj(*parts) == obj
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -135,10 +135,11 @@ def test_criterion_5_distillation_benefit(tmp_path):
             catalog, records = load_and_validate(data, schema)
             train, valid = split_cohorts(records, catalog, 0.35, seed=seed)
             profiles = default_catalog(catalog)
-            profile = profiles.by_name("With all except genotypic")
+            profile = profiles.resolve("With all except genotypic")
             config = DistillationConfig(train=TrainConfig(seed=seed))
 
-            points, best = sweep_lambda(train, valid, profile, config)
+            teacher = train_privileged(train, profile, config)
+            points, best = sweep_lambda(train, valid, profile, config, teacher)
             partial_mae = points[0][1].mae
             full_mlp = train_mlp(train.X, train.y, config.train)
             full_mae = evaluate_model(full_mlp, valid, profiles.public).mae
@@ -174,7 +175,7 @@ def test_criterion_6_temperature_pathology(tmp_path):
         catalog, records = load_and_validate(data, schema)
         train, valid = split_cohorts(records, catalog, 0.65, seed=3)
         assert abs(float(np.mean(np.abs(train.y))) - 10.0) < 1.5  # mean magnitude ~10
-        profile = default_catalog(catalog).by_name("With all except genotypic")
+        profile = default_catalog(catalog).resolve("With all except genotypic")
         visible = list(profile.visible_features)
         train_config = TrainConfig(seed=3)
 
@@ -263,9 +264,7 @@ def test_criterion_8_real_data_reproduction():
         catalog, records = load_and_validate(IWPC_DATA, IWPC_SCHEMA)
         profiles = default_catalog(catalog)
         config = DistillationConfig(train=TrainConfig(seed=0))
-        results = run_study(
-            records, catalog, profiles, config, runs=10, base_seed=0, ratio=0.65
-        )
+        results = run_study(records, catalog, profiles, config, runs=10)
         public = profiles.public.name
         linear_mae = results[("linear", public)].mae_mean_std[0]
         mlp_mae = results[("mlp", public)].mae_mean_std[0]

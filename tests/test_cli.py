@@ -296,7 +296,7 @@ class TestTrainPredict:
             lambda_grid=(0.0,),
             train=TrainConfig(seed=5, max_epochs=25, patience=5),
         )
-        _, standardizer, _, _, _ = pack_from_obj(json.loads(pack.read_text()))
+        _, standardizer, _, _ = pack_from_obj(json.loads(pack.read_text()))
         x = (0.3 - standardizer.means[1]) / standardizer.stds[1]
         bundle = train_on_demand(train, valid, Disclosure(frozenset({1}), {1: x}), config)
         dose = float(bundle.distilled.predict([[x]])[0])
@@ -372,7 +372,7 @@ class TestDisclosureValues:
 
     def test_non_finite_dose_exits_4_without_a_dose(self, pack_and_row, capsys):
         pack, row = pack_and_row
-        catalog, standardizer, bundles, config, ratio = pack_from_obj(
+        catalog, standardizer, bundles, config = pack_from_obj(
             json.loads(pack.read_text())
         )
         hidden, dim = bundles[0].distilled.W1.shape
@@ -381,7 +381,7 @@ class TestDisclosureValues:
             np.zeros((hidden, dim)), np.full(hidden, 1e308), np.ones(hidden), 0.0
         )
         bundles = [replace(bundles[0], distilled=overflowing)]
-        save_json(pack, pack_to_obj(catalog, standardizer, bundles, config, ratio))
+        save_json(pack, pack_to_obj(catalog, standardizer, bundles, config))
         assert self.predict(pack, ",".join(f"{k}={v}" for k, v in row.items())) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -538,3 +538,26 @@ class TestEvaluate:
         safety = read_rows(out / "safety.csv")
         # linear + mlp on public, partial + distilled per profile
         assert len(acc) == len(safety) == 1 + 2 + 2 * 9
+
+    def test_train_and_evaluate_share_one_recipe(self, tmp_path):
+        """With the same arguments, run 0 of a study trains every redacting
+        profile as `train` does: same split, seed, grid and teacher. The
+        public profile's study arm is the plain MLP, so it is left out."""
+        data, schema = synth(tmp_path, n=200)
+        args = ["--data", str(data), "--schema", str(schema),
+                "--seed", "3", "--ratio", "0.6", "--max-epochs", "30"]
+        assert run_command(["train", "--out", str(tmp_path / "t"), *args]) == 0
+        assert run_command(
+            ["evaluate", "--out", str(tmp_path / "e"), "--runs", "1", *args]
+        ) == 0
+        report = json.loads((tmp_path / "t" / "report.json").read_text())
+        study = json.loads((tmp_path / "e" / "study.json").read_text())
+        redacting = [name for name in report if name != "Public patient"]
+        assert len(redacting) == 8
+        for name in redacting:
+            assert study[f"distilled|{name}"]["per_run"][0] == report[name]["metrics"]
+
+        _, _, _, config = pack_from_obj(json.loads((tmp_path / "t" / "pack.json").read_text()))
+        assert config == DistillationConfig(
+            split_ratio=0.6, train=TrainConfig(seed=3, max_epochs=30)
+        )

@@ -1,11 +1,11 @@
 """Imitation objective, privileged models, and the lambda sweep."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dosedistill import distillation
 from dosedistill.dataset import load_and_validate, split_cohorts
@@ -13,7 +13,6 @@ from dosedistill.distillation import (
     DistillationConfig,
     DistilledBundle,
     PrivilegedInputs,
-    distillation_loss,
     soft_targets,
     sweep_lambda,
     sweep_profiles,
@@ -22,7 +21,7 @@ from dosedistill.distillation import (
 )
 from dosedistill.errors import DataError
 from dosedistill.models import MlpModel, TrainConfig, models_equal, train_mlp
-from dosedistill.profiles import apply_mask, default_catalog
+from dosedistill.profiles import default_catalog
 from dosedistill.synthetic import SyntheticSpec
 
 from conftest import write_synth
@@ -68,35 +67,6 @@ class TestSoftTargets:
             soft_targets(constant_model(1, 1.0), np.zeros((1, 1)), 0.0)
 
 
-class TestLoss:
-    def test_lambda_zero_ignores_soft_target(self):
-        assert distillation_loss(3.0, 5.0, 123.0, 0.0) == 4.0
-        assert distillation_loss(3.0, 5.0, -999.0, 0.0) == 4.0
-
-    def test_lambda_one_ignores_ground_truth(self):
-        assert distillation_loss(3.0, 999.0, 4.0, 1.0) == 1.0
-
-    def test_half_and_half(self):
-        assert distillation_loss(3.0, 5.0, 4.0, 0.5) == 2.5
-
-    def test_lambda_out_of_range(self):
-        with pytest.raises(ValueError):
-            distillation_loss(1.0, 1.0, 1.0, 1.5)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        pred=st.floats(-50, 50),
-        y=st.floats(-50, 50),
-        s=st.floats(-50, 50),
-        lam=st.floats(0, 1),
-    )
-    def test_affine_interpolation_in_lambda(self, pred, y, s, lam):
-        lo = distillation_loss(pred, y, s, 0.0)
-        hi = distillation_loss(pred, y, s, 1.0)
-        mid = distillation_loss(pred, y, s, lam)
-        assert mid == pytest.approx((1 - lam) * lo + lam * hi, rel=1e-12, abs=1e-12)
-
-
 class TestPrivileged:
     def test_public_profile_all_features_equals_plain_training(self, cohorts):
         catalog, train, _ = cohorts
@@ -109,7 +79,7 @@ class TestPrivileged:
     def test_redacted_only_input_dim(self, cohorts):
         catalog, train, _ = cohorts
         profiles = default_catalog(catalog)
-        closed = profiles.by_name("With all except genotypic")
+        closed = profiles.resolve("With all except genotypic")
         config = DistillationConfig(
             privileged_inputs=PrivilegedInputs.REDACTED_ONLY, train=fast_train()
         )
@@ -131,8 +101,8 @@ class TestDistilled:
         catalog, train, _ = cohorts
         profiles = default_catalog(catalog)
         for profile in (
-            profiles.by_name("With all except genotypic"),
-            profiles.by_name("Background except others"),
+            profiles.resolve("With all except genotypic"),
+            profiles.resolve("Background except others"),
         ):
             config = DistillationConfig(lambda_grid=(0.0,), train=fast_train(11))
             teacher = train_privileged(train, profile, config)
@@ -145,7 +115,7 @@ class TestDistilled:
     def test_lambda_one_constant_teacher_converges_to_constant(self, cohorts):
         catalog, train, _ = cohorts
         profiles = default_catalog(catalog)
-        profile = profiles.by_name("With all except genotypic")
+        profile = profiles.resolve("With all except genotypic")
         c = 10.0
         teacher = constant_model(catalog.d, c)
         config = DistillationConfig(lambda_grid=(1.0,), train=fast_train(5))
@@ -166,16 +136,15 @@ class TestDistilled:
             teacher = train_privileged(train, profile, config)
             student = train_distilled(train, profile, teacher, config)
             for row in valid.X:
-                visible, _ = apply_mask(profile, row)
-                base = student.predict([visible])[0]
+                base = student.predict([row[list(profile.visible_features)]])[0]
                 corrupted = row.copy()
                 corrupted[list(profile.redacted_sorted)] = rng.uniform(-1e6, 1e6)
-                visible2, _ = apply_mask(profile, corrupted)
+                visible2 = corrupted[list(profile.visible_features)]
                 assert student.predict([visible2])[0] == base
 
     def test_multi_point_grid_rejected(self, cohorts):
         catalog, train, _ = cohorts
-        profile = default_catalog(catalog).by_name("With all except genotypic")
+        profile = default_catalog(catalog).resolve("With all except genotypic")
         config = DistillationConfig(lambda_grid=(0.0, 0.5), train=fast_train())
         teacher = constant_model(catalog.d, 1.0)
         with pytest.raises(ValueError, match="one lambda"):
@@ -225,9 +194,10 @@ class TestSweep:
     def test_grid_of_zero_equals_partial_baseline(self, cohorts):
         catalog, train, valid = cohorts
         profiles = default_catalog(catalog)
-        profile = profiles.by_name("With all except background")
+        profile = profiles.resolve("With all except background")
         config = DistillationConfig(lambda_grid=(0.0,), train=fast_train(1))
-        points, best = sweep_lambda(train, valid, profile, config)
+        teacher = train_privileged(train, profile, config)
+        points, best = sweep_lambda(train, valid, profile, config, teacher)
         assert len(points) == 1
         assert points[0][0] == 0.0
         assert best.lam == 0.0
@@ -240,12 +210,16 @@ class TestSweep:
     def test_deterministic(self, cohorts):
         catalog, train, valid = cohorts
         profiles = default_catalog(catalog)
-        profile = profiles.by_name("With all except phenotypic")
+        profile = profiles.resolve("With all except phenotypic")
         config = DistillationConfig(
             lambda_grid=(0.0, 0.5, 1.0), train=fast_train(9)
         )
-        first_points, first_best = sweep_lambda(train, valid, profile, config)
-        again_points, again_best = sweep_lambda(train, valid, profile, config)
+        first_points, first_best = sweep_lambda(
+            train, valid, profile, config, train_privileged(train, profile, config)
+        )
+        again_points, again_best = sweep_lambda(
+            train, valid, profile, config, train_privileged(train, profile, config)
+        )
         assert [(l, r.mae) for l, r in first_points] == [
             (l, r.mae) for l, r in again_points
         ]
@@ -255,18 +229,20 @@ class TestSweep:
     def test_best_ties_to_smaller_lambda(self, cohorts):
         catalog, train, valid = cohorts
         profiles = default_catalog(catalog)
-        profile = profiles.by_name("With all except demographic")
+        profile = profiles.resolve("With all except demographic")
         config = DistillationConfig(lambda_grid=(0.0, 0.3), train=fast_train(2))
-        points, best = sweep_lambda(train, valid, profile, config)
+        teacher = train_privileged(train, profile, config)
+        points, best = sweep_lambda(train, valid, profile, config, teacher)
         maes = [r.mae for _, r in points]
         assert best.lam == points[int(np.argmin(maes))][0]
 
     def test_bundle_dimension_validation(self, cohorts):
         catalog, train, valid = cohorts
         profiles = default_catalog(catalog)
-        profile = profiles.by_name("With all except genotypic")
+        profile = profiles.resolve("With all except genotypic")
         config = DistillationConfig(lambda_grid=(0.0,), train=fast_train())
-        _, bundle = sweep_lambda(train, valid, profile, config)
+        teacher = train_privileged(train, profile, config)
+        _, bundle = sweep_lambda(train, valid, profile, config, teacher)
         with pytest.raises(DataError, match="discloses"):
             DistilledBundle(
                 profiles.public,  # wrong profile for this model
@@ -284,7 +260,7 @@ class TestTemperaturePath:
         them from shrinking further, which is why 0.6 is attainable."""
         catalog, train, valid = cohorts
         profiles = default_catalog(catalog)
-        profile = profiles.by_name("With all except genotypic")
+        profile = profiles.resolve("With all except genotypic")
 
         def mean_abs_pred(temperature):
             config = DistillationConfig(
@@ -296,3 +272,32 @@ class TestTemperaturePath:
             return float(np.mean(np.abs(preds)))
 
         assert mean_abs_pred(50.0) < 0.6 * mean_abs_pred(1.0)
+
+
+def _split_callers(path: Path) -> list[tuple[str, str]]:
+    """(file, top-level function or Class.method) of each split_cohorts call."""
+    scopes = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{getattr(m, 'name', '')}", m) for m in node.body]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    return [
+        (path.name, name)
+        for name, scope in scopes
+        for call in ast.walk(scope)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "split_cohorts"
+    ]
+
+
+def test_only_the_recipe_splits():
+    """Every split that trains a model comes from ``DistillationConfig.split``,
+    so the split ratio and seed cannot drift from the recipe; select-features
+    has no recipe and splits by hand."""
+    package = Path(distillation.__file__).parent
+    callers = [c for path in sorted(package.glob("*.py")) for c in _split_callers(path)]
+    assert callers == [
+        ("cli.py", "_cmd_select_features"),
+        ("distillation.py", "DistillationConfig.split"),
+    ]

@@ -161,19 +161,17 @@ def dataset(tmp_path_factory):
 
 
 class TestRunStudy:
-    def fast_config(self):
+    def fast_config(self, seed):
         return DistillationConfig(
             lambda_grid=(0.0, 1.0),
-            train=TrainConfig(seed=0, max_epochs=30, patience=5),
+            train=TrainConfig(seed=seed, max_epochs=30, patience=5),
         )
 
     def test_deterministic(self, dataset):
         catalog, records = dataset
         profiles = ProfileCatalog(default_catalog(catalog).profiles[:2])
-        a = run_study(records, catalog, profiles, self.fast_config(), runs=1,
-                      base_seed=3)
-        b = run_study(records, catalog, profiles, self.fast_config(), runs=1,
-                      base_seed=3)
+        a = run_study(records, catalog, profiles, self.fast_config(3), runs=1)
+        b = run_study(records, catalog, profiles, self.fast_config(3), runs=1)
         assert a.keys() == b.keys()
         for key in a:
             assert a[key].per_run == b[key].per_run
@@ -181,9 +179,7 @@ class TestRunStudy:
     def test_public_only_catalog_collapses_arms(self, dataset):
         catalog, records = dataset
         public_only = ProfileCatalog(default_catalog(catalog).profiles[:1])
-        results = run_study(
-            records, catalog, public_only, self.fast_config(), runs=1, base_seed=1
-        )
+        results = run_study(records, catalog, public_only, self.fast_config(1), runs=1)
         name = public_only.public.name
         assert (
             results[("mlp", name)].per_run
@@ -195,9 +191,7 @@ class TestRunStudy:
         catalog, records = dataset
         profiles = ProfileCatalog(default_catalog(catalog).profiles[:3])
         runs = 2
-        results = run_study(
-            records, catalog, profiles, self.fast_config(), runs=runs, base_seed=7
-        )
+        results = run_study(records, catalog, profiles, self.fast_config(7), runs=runs)
         assert ("linear", profiles.public.name) in results
         assert ("mlp", profiles.public.name) in results
         for profile in profiles:
@@ -219,18 +213,16 @@ class TestRunStudy:
             distillation, "train_privileged",
             lambda *args: calls.append(args) or real(*args),
         )
-        run_study(records, catalog, default_catalog(catalog), self.fast_config(),
-                  runs=1, base_seed=2)
+        run_study(records, catalog, default_catalog(catalog), self.fast_config(2),
+                  runs=1)
         assert calls == []
 
     def test_split_seed_derivation(self, dataset):
-        """Run j must use split seed base_seed + j: a 2-run study's second
-        run equals a 1-run study at base_seed + 1."""
+        """Run j must use split seed config.train.seed + j: a 2-run study's
+        second run equals a 1-run study at seed + 1."""
         catalog, records = dataset
         profiles = ProfileCatalog(default_catalog(catalog).profiles[:2])
-        two = run_study(records, catalog, profiles, self.fast_config(), runs=2,
-                        base_seed=5)
-        one = run_study(records, catalog, profiles, self.fast_config(), runs=1,
-                        base_seed=6)
+        two = run_study(records, catalog, profiles, self.fast_config(5), runs=2)
+        one = run_study(records, catalog, profiles, self.fast_config(6), runs=1)
         key = ("partial", profiles.profiles[1].name)
         assert two[key].per_run[1] == one[key].per_run[0]

@@ -14,7 +14,6 @@ from dosedistill.models import TrainConfig
 from dosedistill.profiles import (
     Disclosure,
     Profile,
-    apply_mask,
     best_feasible,
     default_catalog,
     train_on_demand,
@@ -56,13 +55,13 @@ class TestDefaultCatalog:
 
     def test_closed_genotypic_redacts_both_genes(self, warf_catalog):
         profiles = default_catalog(warf_catalog)
-        closed = profiles.by_name("With all except genotypic")
+        closed = profiles.resolve("With all except genotypic")
         redacted_names = {WARF_NAMES[i] for i in closed.redacted_features}
         assert redacted_names == {"Cyp2C9", "VKORC1"}
 
     def test_strict_phenotypic_discloses_smoker_only(self, warf_catalog):
         profiles = default_catalog(warf_catalog)
-        strict = profiles.by_name("Phenotypic except others")
+        strict = profiles.resolve("Phenotypic except others")
         assert [WARF_NAMES[i] for i in strict.visible_features] == ["smoker"]
 
     def test_category_without_features_rejected(self):
@@ -84,21 +83,14 @@ class TestApplyMask:
     def test_public_identity(self, warf_catalog):
         profiles = default_catalog(warf_catalog)
         x = np.arange(8.0)
-        visible, star = apply_mask(profiles.public, x)
-        np.testing.assert_array_equal(visible, x)
-        assert star.size == 0
+        np.testing.assert_array_equal(x[list(profiles.public.visible_features)], x)
+        assert profiles.public.redacted_sorted == ()
 
     def test_split_preserves_order(self):
         profile = Profile("p", frozenset(), frozenset({0, 1}), 4)
-        visible, star = apply_mask(profile, np.array([10.0, 11.0, 12.0, 13.0]))
-        np.testing.assert_array_equal(visible, [12.0, 13.0])
-        np.testing.assert_array_equal(star, [10.0, 11.0])
-
-    def test_motivating_four_feature_case(self):
-        profile = Profile("no assault history", frozenset(), frozenset({0, 1}), 4)
-        visible, star = apply_mask(profile, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert list(visible) == [3.0, 4.0]
-        assert list(star) == [1.0, 2.0]
+        x = np.array([10.0, 11.0, 12.0, 13.0])
+        np.testing.assert_array_equal(x[list(profile.visible_features)], [12.0, 13.0])
+        np.testing.assert_array_equal(x[list(profile.redacted_sorted)], [10.0, 11.0])
 
     def test_profile_must_disclose_something(self):
         with pytest.raises(DataError, match="at least one"):

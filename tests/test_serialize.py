@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosedistill.dataset import load_and_validate, split_cohorts
-from dosedistill.distillation import DistillationConfig, sweep_lambda
+from dosedistill.distillation import DistillationConfig, sweep_lambda, train_privileged
 from dosedistill.errors import DataError
 from dosedistill.models import TrainConfig
 from dosedistill.profiles import default_catalog
 from dosedistill.serialize import (
+    config_digest,
     decode_array,
     encode_array,
     model_from_obj,
@@ -44,24 +45,27 @@ def trained(tmp_path_factory):
     data, schema = write_synth(tmp_path_factory.mktemp("pack"), SyntheticSpec(n=120), seed=2)
     catalog, records = load_and_validate(data, schema)
     train, valid = split_cohorts(records, catalog, 0.7, seed=0)
-    profile = default_catalog(catalog).by_name("Genotypic except others")
+    profile = default_catalog(catalog).resolve("Genotypic except others")
     config = DistillationConfig(
-        lambda_grid=(0.0, 1.0), train=TrainConfig(seed=1, max_epochs=20, patience=5)
+        lambda_grid=(0.0, 1.0),
+        split_ratio=0.7,
+        train=TrainConfig(seed=1, max_epochs=20, patience=5),
     )
-    _, bundle = sweep_lambda(train, valid, profile, config)
+    teacher = train_privileged(train, profile, config)
+    _, bundle = sweep_lambda(train, valid, profile, config, teacher)
     return catalog, train, bundle, config
 
 
 def test_pack_round_trip_and_version_guard(trained):
     catalog, train, bundle, config = trained
-    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
-    catalog2, standardizer2, bundles2, config2, ratio2 = pack_from_obj(obj)
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
+    catalog2, standardizer2, bundles2, config2 = pack_from_obj(obj)
     assert catalog2 == catalog
     assert np.array_equal(standardizer2.means, train.standardizer.means)
     assert bundles2[0].lam == bundle.lam
     assert np.array_equal(bundles2[0].distilled.W1, bundle.distilled.W1)
     assert config2 == config
-    assert ratio2 == 0.7
+    assert config2.split_ratio == 0.7
 
     for version in (1, 99):
         obj["format_version"] = version
@@ -73,7 +77,7 @@ def test_pack_refuses_a_temperature_it_cannot_store(trained):
     catalog, train, bundle, config = trained
     hot = replace(config, temperature=50.0)
     with pytest.raises(ValueError, match="temperature"):
-        pack_to_obj(catalog, train.standardizer, [bundle], hot, 0.7)
+        pack_to_obj(catalog, train.standardizer, [bundle], hot)
 
 
 def key_paths(obj, prefix=()):
@@ -91,7 +95,7 @@ def key_paths(obj, prefix=()):
 @given(data=st.data())
 def test_pack_missing_any_key_is_data_error(trained, data):
     catalog, train, bundle, config = trained
-    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
     path = data.draw(st.sampled_from(list(key_paths(obj))))
     broken = copy.deepcopy(obj)
     parent = broken
@@ -104,7 +108,7 @@ def test_pack_missing_any_key_is_data_error(trained, data):
 
 def test_pack_that_lost_its_top_label_is_data_error(trained):
     catalog, train, bundle, config = trained
-    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
     labels = next(f["encoding_map"] for f in obj["catalog"]["features"] if f["encoding_map"])
     # the codes left still run 0..k-1, so only the digest can tell
     del labels[max(labels, key=labels.get)]
@@ -118,7 +122,20 @@ def test_pack_that_lost_its_top_label_is_data_error(trained):
 ])
 def test_pack_mistyped_value_is_data_error(trained, key, value):
     catalog, train, bundle, config = trained
-    obj = pack_to_obj(catalog, train.standardizer, [bundle], config, 0.7)
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
     obj[key] = value
+    with pytest.raises(DataError, match="malformed model pack"):
+        pack_from_obj(obj)
+
+
+@pytest.mark.parametrize("ratio", [0, 1, 1.5])
+def test_pack_with_an_out_of_range_recipe_is_data_error(trained, ratio):
+    """A recipe no config can hold is refused on load, even under a valid
+    digest, so neither the stored nor the on-demand path serves from it."""
+    catalog, train, bundle, config = trained
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
+    obj["split_ratio"] = ratio
+    del obj["digest"]
+    obj["digest"] = config_digest(obj)
     with pytest.raises(DataError, match="malformed model pack"):
         pack_from_obj(obj)
