@@ -117,6 +117,19 @@ def _distill_config(args) -> DistillationConfig:
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _job_count(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--schema", required=True, help="sidecar schema JSON")
@@ -135,8 +148,10 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    help="imitation-weight grid, start:stop:step or comma list")
     p.add_argument("--privileged-inputs", default="all_features",
                    choices=[m.value for m in PrivilegedInputs])
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--jobs", type=_job_count, default=_usable_cpus(),
+                   help="worker processes that sweep profiles side by side, at most "
+                   "one per profile; outputs do not depend on it "
+                   "(default: the usable CPUs)")
 
 
 def _run_config_obj(args, command: str) -> dict:
@@ -264,7 +279,7 @@ def _fit_profiles(args):
     train, valid = config.split(records, catalog)
     bundles, points = [], []
     for sweep, best in sweep_profiles(
-        train, valid, _resolve_profiles(catalog, args.profile), config
+        train, valid, _resolve_profiles(catalog, args.profile), config, jobs=args.jobs
     ):
         points.extend((best.profile.name, lam, rep) for lam, rep in sweep)
         bundles.append(best)
@@ -326,7 +341,7 @@ def _cmd_evaluate(args) -> int:
     config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
     profiles = default_catalog(catalog)
-    results = run_study(records, catalog, profiles, config, runs=args.runs)
+    results = run_study(records, catalog, profiles, config, args.runs, args.jobs)
 
     study_obj = {"risk_legend": dict(RISK_LABELS)}
     study_obj |= {

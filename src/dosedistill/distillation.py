@@ -181,14 +181,21 @@ def sweep_lambda(
     return [(lam, rep) for lam, _, rep in rows], bundle
 
 
+def _sweep_task(task: tuple) -> tuple[list[tuple[float, EvalReport]], DistilledBundle]:
+    """One profile's sweep; module level, so a pool worker can unpickle it."""
+    return sweep_lambda(*task)
+
+
 def sweep_profiles(
     train: Cohort,
     valid: Cohort,
     profiles: Sequence[Profile],
     config: DistillationConfig,
     teachers: dict | None = None,
+    jobs: int = 1,
 ) -> list[tuple[list[tuple[float, EvalReport]], DistilledBundle]]:
-    """``sweep_lambda`` for each profile in order, one teacher per column set.
+    """``sweep_lambda`` for each profile, one teacher per column set, with
+    results in profile order.
 
     A profile that redacts nothing is taught from all features, since
     redacted-only privileged inputs are undefined for it. A teacher depends
@@ -196,9 +203,14 @@ def sweep_profiles(
     distinct privileged column set is fitted once, into ``teachers``; a
     caller may seed it with models fitted on the same ``train`` and
     ``config.train``, keyed by their column tuples.
+
+    The teachers are fitted here first. The sweeps depend only on their own
+    profile and teacher, so with ``jobs > 1`` they run in a pool of up to
+    ``jobs`` worker processes (never more than there are profiles), handed
+    out one profile at a time; the results are the same bit for bit.
     """
     teachers = {} if teachers is None else teachers
-    results = []
+    tasks = []
     for profile in profiles:
         cfg = config
         if profile.is_public:
@@ -206,5 +218,12 @@ def sweep_profiles(
         cols = privileged_feature_indices(profile, cfg.privileged_inputs)
         if cols not in teachers:
             teachers[cols] = train_privileged(train, profile, cfg)
-        results.append(sweep_lambda(train, valid, profile, cfg, teachers[cols]))
-    return results
+        tasks.append((train, valid, profile, cfg, teachers[cols]))
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return list(map(_sweep_task, tasks))
+    # imported here: a process that never fans out does not load the pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_sweep_task, tasks))

@@ -20,6 +20,10 @@ class TrainingDivergedError(NumericError):
         super().__init__(message)
         self.epoch = epoch
 
+    def __reduce__(self):
+        # pickle (a worker process returning its failure) re-calls __init__
+        return type(self), (*self.args, self.epoch)
+
 
 class NoFeasibleProfileError(DoseDistillError):
     """No stored profile's required features fit inside a disclosure."""

@@ -183,6 +183,7 @@ def run_study(
     profile_catalog: ProfileCatalog,
     config: "DistillationConfig",
     runs: int = 10,
+    jobs: int = 1,
 ) -> dict[tuple[str, str], StudyResult]:
     """Repeated-split comparison of all four arms.
 
@@ -194,6 +195,7 @@ def run_study(
     Profiles that redact nothing reuse the non-redacted MLP's report for
     both arms. Each run fits one teacher per privileged column set; the
     all-features teacher is the non-redacted MLP itself, the same fit.
+    ``jobs`` is passed on to ``sweep_profiles``.
     """
     from .distillation import sweep_profiles
 
@@ -221,7 +223,7 @@ def run_study(
         add("mlp", public.name, mlp_report)
         redacting = [p for p in profile_catalog if not p.is_public]
         swept = iter(sweep_profiles(
-            train, valid, redacting, run_config, {tuple(range(catalog.d)): mlp}
+            train, valid, redacting, run_config, {tuple(range(catalog.d)): mlp}, jobs
         ))
         for profile in profile_catalog:
             if profile.is_public:

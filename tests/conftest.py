@@ -60,3 +60,28 @@ def small_dataset(tmp_path):
     data, sch = write_synth(tmp_path, spec, seed=11)
     catalog, records = load_and_validate(data, sch)
     return catalog, records
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap ``ProcessPoolExecutor`` for an in-process stand-in and return the
+    list of ``max_workers`` each pool asked for; no worker process starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes

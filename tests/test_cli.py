@@ -2,17 +2,24 @@
 
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dosedistill
+from dosedistill import distillation
 from dosedistill.cli import _parse_disclosure, run_command
 from dosedistill.dataset import load_and_validate, split_cohorts, standardize
 from dosedistill.distillation import DistillationConfig
-from dosedistill.errors import DataError
+from dosedistill.errors import DataError, TrainingDivergedError
 from dosedistill.models import MlpModel, TrainConfig
 from dosedistill.profiles import Disclosure, train_on_demand
 from dosedistill.serialize import pack_from_obj, pack_to_obj, save_json
@@ -32,6 +39,24 @@ def synth(tmp_path, n=240, seed=7):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+THREE_PROFILES = [
+    "--profile", "Public patient", "--profile", "With all except background",
+    "--profile", "With all except genotypic",
+]
+
+
+def outputs_by_jobs(tmp_path, argv, files):
+    """Run ``argv`` at ``--jobs 1``, ``--jobs 2`` and the default; every run
+    must leave no worker process behind. Returns each run's files as bytes."""
+    runs = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+        out = tmp_path / ("jobs-" + (jobs[-1] if jobs else "default"))
+        assert run_command([*argv, "--out", str(out), *jobs]) == 0
+        assert multiprocessing.active_children() == []
+        runs.append({name: (out / name).read_bytes() for name in files})
+    return runs
 
 
 class TestSynthPrepare:
@@ -211,20 +236,53 @@ class TestTrainPredict:
 
     def test_outputs_identical_regardless_of_jobs(self, tmp_path):
         data, schema = synth(tmp_path)
-        outs = []
-        for name, jobs in (("j1", "1"), ("j4", "4")):
-            out = tmp_path / name
-            code = run_command([
-                "train", "--data", str(data), "--schema", str(schema),
-                "--out", str(out), "--profile", "with all except background",
-                "--grid", "0,0.5,1", "--max-epochs", "25", "--patience", "5",
-                "--jobs", jobs,
+        first, *rest = outputs_by_jobs(tmp_path, [
+            "train", "--data", str(data), "--schema", str(schema), *THREE_PROFILES,
+            "--grid", "0,0.5,1", "--max-epochs", "25", "--patience", "5",
+        ], ("pack.json", "report.json"))
+        assert all(run == first for run in rest)
+        assert len(json.loads(first["report.json"])) == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5", ""])
+    def test_bad_jobs_is_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as err:
+            run_command([
+                "train", "--data", "d.csv", "--schema", "s.json",
+                "--out", str(tmp_path / "m"), f"--jobs={jobs}",
             ])
-            assert code == 0
-            outs.append(out)
-        assert (outs[0] / "pack.json").read_bytes() == (
-            outs[1] / "pack.json"
-        ).read_bytes()
+        assert err.value.code == 2
+        assert "--jobs: must be a whole number of at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_huge_jobs_is_capped_at_the_profile_count(self, tmp_path, pool_sizes):
+        data, schema = synth(tmp_path)
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "m"), *THREE_PROFILES, "--grid", "0",
+            "--max-epochs", "5", "--patience", "2", "--jobs", str(10**9),
+        ]) == 0
+        assert pool_sizes == [3]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stand-in reaches the workers only through fork")
+    def test_divergence_in_a_worker_exits_4(self, tmp_path, capsys, monkeypatch):
+        data, schema = synth(tmp_path)
+
+        def diverge(*args):
+            raise TrainingDivergedError(f"loss became nan in process {os.getpid()}", 3)
+
+        monkeypatch.setattr(distillation, "sweep_lambda", diverge)
+        code = run_command([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "m"), *THREE_PROFILES, "--grid", "0",
+            "--max-epochs", "5", "--patience", "2", "--jobs", "2",
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("numeric failure: loss became nan in process ")
+        assert f"in process {os.getpid()}\n" not in err  # raised in a worker
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_predict_assigns_genotypic_withheld_profile(self, tmp_path, capsys):
         data, schema = synth(tmp_path)
@@ -521,6 +579,15 @@ class TestSweep:
             "0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1",
         ]
 
+    def test_outputs_identical_regardless_of_jobs(self, tmp_path):
+        data, schema = synth(tmp_path, n=200)
+        first, *rest = outputs_by_jobs(tmp_path, [
+            "sweep", "--data", str(data), "--schema", str(schema), *THREE_PROFILES,
+            "--grid", "0:1:0.5", "--max-epochs", "25", "--patience", "5",
+        ], ("sweep.csv", "pack.json"))
+        assert all(run == first for run in rest)
+        assert len(first["sweep.csv"].splitlines()) == 1 + 3 * 3
+
 
 class TestEvaluate:
     def test_study_outputs(self, tmp_path):
@@ -538,6 +605,14 @@ class TestEvaluate:
         safety = read_rows(out / "safety.csv")
         # linear + mlp on public, partial + distilled per profile
         assert len(acc) == len(safety) == 1 + 2 + 2 * 9
+
+    def test_outputs_identical_regardless_of_jobs(self, tmp_path):
+        data, schema = synth(tmp_path, n=200)
+        first, *rest = outputs_by_jobs(tmp_path, [
+            "evaluate", "--data", str(data), "--schema", str(schema), "--runs", "1",
+            "--grid", "0,1", "--max-epochs", "25", "--patience", "5",
+        ], ("study.json", "accuracy.csv", "safety.csv"))
+        assert all(run == first for run in rest)
 
     def test_train_and_evaluate_share_one_recipe(self, tmp_path):
         """With the same arguments, run 0 of a study trains every redacting
@@ -561,3 +636,16 @@ class TestEvaluate:
         assert config == DistillationConfig(
             split_ratio=0.6, train=TrainConfig(seed=3, max_epochs=30)
         )
+
+
+def test_cold_import_leaves_the_pool_out():
+    """``import dosedistill.cli`` loads no process pool: serving never fans
+    out, so it must not pay the pool's memory or import time."""
+    src = str(Path(dosedistill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, dosedistill.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

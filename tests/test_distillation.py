@@ -1,6 +1,7 @@
 """Imitation objective, privileged models, and the lambda sweep."""
 
 import ast
+import multiprocessing
 from dataclasses import replace
 from pathlib import Path
 
@@ -188,6 +189,36 @@ class TestSweepProfiles:
             assert points == ref_points, profile.name
             assert best.lam == ref_best.lam
             assert models_equal(best.distilled, ref_best.distilled), profile.name
+
+    def test_pool_returns_the_sequential_results_in_order(self, cohorts):
+        catalog, train, valid = cohorts
+        profiles = list(default_catalog(catalog))[:4]
+        config = DistillationConfig(lambda_grid=(0.0, 0.5), train=fast_train(6))
+        teachers = {}
+        one = sweep_profiles(train, valid, profiles, config, teachers)
+        two = sweep_profiles(train, valid, profiles, config, dict(teachers), jobs=2)
+        assert [best.profile for _, best in two] == profiles
+        for (points1, best1), (points2, best2) in zip(one, two):
+            assert points1 == points2
+            assert best1.lam == best2.lam and best1.metrics == best2.metrics
+            assert models_equal(best1.distilled, best2.distilled)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_profiles, jobs, pools", [
+        (3, 10**9, [3]),  # capped at the profile count, no process started
+        (3, 2, [2]),
+        (3, 1, []),       # built-in map, no pool
+        (1, 8, []),       # one profile never fans out
+    ])
+    def test_workers_capped_at_the_profile_count(
+        self, cohorts, pool_sizes, n_profiles, jobs, pools
+    ):
+        catalog, train, valid = cohorts
+        profiles = list(default_catalog(catalog))[:n_profiles]
+        config = DistillationConfig(lambda_grid=(0.0,), train=fast_train(2))
+        results = sweep_profiles(train, valid, profiles, config, jobs=jobs)
+        assert pool_sizes == pools
+        assert [best.profile for _, best in results] == profiles
 
 
 class TestSweep:
