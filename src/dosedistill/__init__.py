@@ -34,14 +34,15 @@ from .errors import (
     TrainingDivergedError,
 )
 from .evaluation import (
+    STUDY_STATS,
     DoseBand,
     EvalReport,
     SafetyPartition,
-    StudyResult,
     classify_dose,
     evaluate_model,
     mae,
     mape,
+    mean_std,
     run_study,
 )
 from .feature_selection import (

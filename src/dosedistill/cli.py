@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .distillation import DistillationConfig, PrivilegedInputs, sweep_profiles
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
-from .evaluation import RISK_LABELS, run_study
+from .evaluation import RISK_LABELS, STUDY_STATS, mean_std, run_study
 from .feature_selection import backward_attribute_elimination
 from .models import TrainConfig
 from .profiles import (
@@ -343,43 +343,35 @@ def _cmd_evaluate(args) -> int:
     profiles = default_catalog(catalog)
     results = run_study(records, catalog, profiles, config, args.runs, args.jobs)
 
+    stats = {
+        key: {stat: mean_std(reports, stat) for stat in STUDY_STATS}
+        for key, reports in sorted(results.items())
+    }
+
     study_obj = {"risk_legend": dict(RISK_LABELS)}
     study_obj |= {
         f"{kind}|{name}": {
             "model": kind,
             "profile": name,
-            "mae_mean": r.mae_mean_std[0],
-            "mae_std": r.mae_mean_std[1],
-            "mape_mean": r.mape_mean_std[0],
-            "mape_std": r.mape_mean_std[1],
-            "under_mean": r.under_mean_std[0],
-            "within_mean": r.within_mean_std[0],
-            "over_mean": r.over_mean_std[0],
-            "under_std": r.under_mean_std[1],
-            "within_std": r.within_mean_std[1],
-            "over_std": r.over_mean_std[1],
-            "per_run": [serialize.report_to_obj(rep) for rep in r.per_run],
+            "per_run": [serialize.report_to_obj(rep) for rep in results[kind, name]],
+            **{f"{stat}_mean": mean for stat, (mean, _) in arm.items()},
+            **{f"{stat}_std": std for stat, (_, std) in arm.items()},
         }
-        for (kind, name), r in sorted(results.items())
+        for (kind, name), arm in stats.items()
     }
     serialize.save_json(out / "study.json", study_obj)
 
-    arms = sorted(results.items())
     _write_table(
         out / "accuracy.csv",
         ["model", "profile", "mae", "mae_std", "mape", "mape_std"],
-        ([kind, name, *r.mae_mean_std, *r.mape_mean_std] for (kind, name), r in arms),
+        ([*key, *arm["mae"], *arm["mape"]] for key, arm in stats.items()),
     )
+    window = ("under", "within", "over")
     _write_table(
         out / "safety.csv",
         ["model", "profile", "under_pct", "within_pct", "over_pct",
          "under_std", "within_std", "over_std"],
-        (
-            [kind, name, r.under_mean_std[0], r.within_mean_std[0],
-             r.over_mean_std[0], r.under_mean_std[1], r.within_mean_std[1],
-             r.over_mean_std[1]]
-            for (kind, name), r in arms
-        ),
+        ([*key, *(arm[s][i] for i in (0, 1) for s in window)] for key, arm in stats.items()),
     )
     serialize.save_json(out / "run_config.json", _run_config_obj(args, "evaluate"))
     print(

@@ -7,6 +7,7 @@ clinically deduced one, boundary inclusive. Above it is an over-prescription
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -97,32 +98,32 @@ class EvalReport:
             raise ValueError("report size and safety counts disagree")
 
 
-def mae(preds: Sequence[float], truths: Sequence[float]) -> float:
+def _paired(preds, truths) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and truths as equal-length, non-empty 1-D float arrays."""
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
     if preds.shape != truths.shape or preds.ndim != 1:
         raise ValueError(f"shape mismatch: {preds.shape} vs {truths.shape}")
     if preds.size == 0:
         raise ValueError("empty input")
+    return preds, truths
+
+
+def mae(preds: Sequence[float], truths: Sequence[float]) -> float:
+    preds, truths = _paired(preds, truths)
     return float(np.mean(np.abs(preds - truths)))
 
 
 def mape(preds: Sequence[float], truths: Sequence[float]) -> float:
     """Mean absolute percentage error, in percent. Requires positive truths."""
-    preds = np.asarray(preds, dtype=float)
-    truths = np.asarray(truths, dtype=float)
-    if preds.shape != truths.shape or preds.ndim != 1:
-        raise ValueError(f"shape mismatch: {preds.shape} vs {truths.shape}")
-    if preds.size == 0:
-        raise ValueError("empty input")
+    preds, truths = _paired(preds, truths)
     if np.any(truths <= 0):
         raise ValueError("MAPE requires all true doses to be positive")
     return float(100.0 * np.mean(np.abs(preds - truths) / truths))
 
 
 def evaluate_predictions(preds, truths) -> EvalReport:
-    preds = np.asarray(preds, dtype=float)
-    truths = np.asarray(truths, dtype=float)
+    preds, truths = _paired(preds, truths)
     under, over = _outside_window(preds, truths)
     safety = SafetyPartition(
         under=int(under.sum()),
@@ -144,37 +145,20 @@ def evaluate_model(model, valid: Cohort, profile: Profile) -> EvalReport:
     return evaluate_predictions(preds, valid.y)
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    """Per-split reports for one (model kind, profile) arm, with aggregates."""
+# The study's per-report statistics, in table order, each picked from one report.
+STUDY_STATS = {
+    "mae": lambda r: r.mae,
+    "mape": lambda r: r.mape,
+    "under": lambda r: r.safety.under_pct,
+    "within": lambda r: r.safety.within_pct,
+    "over": lambda r: r.safety.over_pct,
+}
 
-    model: str
-    profile: str
-    per_run: tuple[EvalReport, ...]
 
-    def _agg(self, pick) -> tuple[float, float]:
-        vals = np.array([pick(r) for r in self.per_run])
-        return float(vals.mean()), float(vals.std())
-
-    @property
-    def mae_mean_std(self) -> tuple[float, float]:
-        return self._agg(lambda r: r.mae)
-
-    @property
-    def mape_mean_std(self) -> tuple[float, float]:
-        return self._agg(lambda r: r.mape)
-
-    @property
-    def under_mean_std(self) -> tuple[float, float]:
-        return self._agg(lambda r: r.safety.under_pct)
-
-    @property
-    def within_mean_std(self) -> tuple[float, float]:
-        return self._agg(lambda r: r.safety.within_pct)
-
-    @property
-    def over_mean_std(self) -> tuple[float, float]:
-        return self._agg(lambda r: r.safety.over_pct)
+def mean_std(reports: Sequence[EvalReport], stat: str) -> tuple[float, float]:
+    """Mean and population std (ddof 0) of one ``STUDY_STATS`` entry over runs."""
+    vals = np.array([STUDY_STATS[stat](r) for r in reports])
+    return float(vals.mean()), float(vals.std())
 
 
 def run_study(
@@ -184,8 +168,8 @@ def run_study(
     config: "DistillationConfig",
     runs: int = 10,
     jobs: int = 1,
-) -> dict[tuple[str, str], StudyResult]:
-    """Repeated-split comparison of all four arms.
+) -> dict[tuple[str, str], tuple[EvalReport, ...]]:
+    """Per-run reports of all four arms, keyed by (arm, profile name), in run order.
 
     Run j uses ``config`` with training seed ``config.train.seed + j``,
     which is also its split seed: a non-redacted linear model and
@@ -195,7 +179,7 @@ def run_study(
     Profiles that redact nothing reuse the non-redacted MLP's report for
     both arms. Each run fits one teacher per privileged column set; the
     all-features teacher is the non-redacted MLP itself, the same fit.
-    ``jobs`` is passed on to ``sweep_profiles``.
+    ``jobs`` is passed on to ``sweep_profiles``; ``mean_std`` aggregates an arm.
     """
     from .distillation import sweep_profiles
 
@@ -206,21 +190,17 @@ def run_study(
         config = replace(config, lambda_grid=(0.0, *grid))
 
     public = profile_catalog.public
-    reports: dict[tuple[str, str], list[EvalReport]] = {}
-
-    def add(kind: str, profile_name: str, report: EvalReport) -> None:
-        reports.setdefault((kind, profile_name), []).append(report)
-
+    reports: dict[tuple[str, str], list[EvalReport]] = defaultdict(list)
     for j in range(runs):
         seed_j = config.train.seed + j
         run_config = replace(config, train=replace(config.train, seed=seed_j))
         train, valid = run_config.split(records, catalog)
 
         linear = fit_least_squares(train.X, train.y)
-        add("linear", public.name, evaluate_model(linear, valid, public))
+        reports["linear", public.name].append(evaluate_model(linear, valid, public))
         mlp = train_mlp(train.X, train.y, run_config.train)
         mlp_report = evaluate_model(mlp, valid, public)
-        add("mlp", public.name, mlp_report)
+        reports["mlp", public.name].append(mlp_report)
         redacting = [p for p in profile_catalog if not p.is_public]
         swept = iter(sweep_profiles(
             train, valid, redacting, run_config, {tuple(range(catalog.d)): mlp}, jobs
@@ -231,10 +211,7 @@ def run_study(
             else:
                 points, best = next(swept)
                 partial, distilled = points[0][1], best.metrics
-            add("partial", profile.name, partial)
-            add("distilled", profile.name, distilled)
+            reports["partial", profile.name].append(partial)
+            reports["distilled", profile.name].append(distilled)
 
-    return {
-        (kind, name): StudyResult(kind, name, tuple(reps))
-        for (kind, name), reps in reports.items()
-    }
+    return {key: tuple(reps) for key, reps in reports.items()}

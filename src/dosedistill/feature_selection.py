@@ -83,7 +83,11 @@ def backward_attribute_elimination(
     Stops when the best candidate removal scores worse than the current
     kept set's CV MAE plus ``epsilon``, or when only protected features (or
     a single feature) remain. Ties break toward the lowest feature index.
+    A negative ``epsilon`` demands improvement, an infinite one removes every
+    unprotected feature; NaN has no meaning and is refused.
     """
+    if np.isnan(epsilon):
+        raise ValueError("epsilon must be a number, got nan")
     d = train.catalog.d
     bad = sorted(i for i in protected if not 0 <= i < d)
     if bad:

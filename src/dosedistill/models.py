@@ -240,6 +240,8 @@ class TrainConfig:
             raise ValueError("adam betas must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         if not 0 < self.holdout_fraction < 1:

@@ -16,7 +16,7 @@ cannot emit non-positive doses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 from typing import Mapping
@@ -30,6 +30,10 @@ TARGET_COLUMN = "weekly_dose_mg"
 ID_COLUMN = "patient_id"
 
 _CLIP_SIGMA = 4.0
+# Every categorical feature is binned into equiprobable levels "A", "B", "C".
+CATEGORICAL_LEVELS = 3
+# The category whose features carry the privileged signal.
+PRIVILEGED_CATEGORY = FeatureCategory.GENOTYPIC
 
 
 @dataclass(frozen=True)
@@ -42,16 +46,12 @@ class SyntheticSpec:
     phenotypic: int = 1
     genotypic: int = 2
     categorical_per_category: int = 1
-    categorical_levels: int = 3
     visible_weight: float = 4.0
     privileged_weight: float = 5.0
     nonlinear_weight: float = 1.5
     rho: float = 0.8
     noise_std: float = 8.0
     base_dose: float = 50.0
-    privileged_categories: frozenset[FeatureCategory] = field(
-        default_factory=lambda: frozenset({FeatureCategory.GENOTYPIC})
-    )
 
     def __post_init__(self):
         if self.n < 2:
@@ -62,9 +62,7 @@ class SyntheticSpec:
             raise DataError(f"rho must be in [-1, 1], got {self.rho}")
         if self.noise_std < 0:
             raise DataError("noise_std must be non-negative")
-        if self.categorical_levels < 2 or self.categorical_levels > 26:
-            raise DataError("categorical_levels must be in 2..26")
-        if not self.visible_indices():
+        if not self.partition()[0]:
             raise DataError("spec leaves no visible features to generate a signal from")
 
     def count(self, category: FeatureCategory) -> int:
@@ -92,19 +90,13 @@ class SyntheticSpec:
                 out.append((f"{cat.label}_{k}", cat, kind))
         return out
 
-    def visible_indices(self) -> list[int]:
-        return [
-            i
-            for i, (_, cat, _) in enumerate(self.layout())
-            if cat not in self.privileged_categories
-        ]
-
-    def privileged_indices(self) -> list[int]:
-        return [
-            i
-            for i, (_, cat, _) in enumerate(self.layout())
-            if cat in self.privileged_categories
-        ]
+    def partition(self) -> tuple[list[int], list[int]]:
+        """(visible, privileged) feature indices, each in catalog order."""
+        privileged = [cat is PRIVILEGED_CATEGORY for _, cat, _ in self.layout()]
+        return (
+            [i for i, p in enumerate(privileged) if not p],
+            [i for i, p in enumerate(privileged) if p],
+        )
 
 
 @dataclass(frozen=True)
@@ -123,8 +115,7 @@ def _clipped_normal(rng: np.random.Generator, size) -> np.ndarray:
 def _generate(spec: SyntheticSpec, seed: int):
     rng = np.random.default_rng(seed)
     layout = spec.layout()
-    vis = spec.visible_indices()
-    priv = spec.privileged_indices()
+    vis, priv = spec.partition()
 
     w = rng.uniform(0.5, 1.5, size=len(vis))
     w /= np.linalg.norm(w)
@@ -154,9 +145,9 @@ def _generate(spec: SyntheticSpec, seed: int):
     return layout, latent, s_vis, s_priv, dose
 
 
-def _bin_labels(column: np.ndarray, levels: int) -> list[str]:
+def _bin_labels(column: np.ndarray) -> list[str]:
     nd = NormalDist()
-    thresholds = [nd.inv_cdf(k / levels) for k in range(1, levels)]
+    thresholds = [nd.inv_cdf(k / CATEGORICAL_LEVELS) for k in range(1, CATEGORICAL_LEVELS)]
     codes = np.searchsorted(thresholds, column)
     return [chr(ord("A") + int(c)) for c in codes]
 
@@ -172,7 +163,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[dict[str, list[s
     columns = {ID_COLUMN: [f"p{i:05d}" for i in range(spec.n)]}
     for j, (name, _, kind) in enumerate(layout):
         if kind == KIND_CATEGORICAL:
-            columns[name] = _bin_labels(latent[:, j], spec.categorical_levels)
+            columns[name] = _bin_labels(latent[:, j])
         else:
             columns[name] = [f"{v:.6f}" for v in latent[:, j]]
     columns[TARGET_COLUMN] = [f"{v:.6f}" for v in dose]

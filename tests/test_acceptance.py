@@ -22,7 +22,13 @@ from dosedistill.distillation import (
     train_distilled,
     train_privileged,
 )
-from dosedistill.evaluation import DoseBand, classify_dose, evaluate_model, run_study
+from dosedistill.evaluation import (
+    DoseBand,
+    classify_dose,
+    evaluate_model,
+    mean_std,
+    run_study,
+)
 from dosedistill.feature_selection import backward_attribute_elimination
 from dosedistill.models import (
     TrainConfig,
@@ -266,20 +272,20 @@ def test_criterion_8_real_data_reproduction():
         config = DistillationConfig(train=TrainConfig(seed=0))
         results = run_study(records, catalog, profiles, config, runs=10)
         public = profiles.public.name
-        linear_mae = results[("linear", public)].mae_mean_std[0]
-        mlp_mae = results[("mlp", public)].mae_mean_std[0]
+        linear_mae = mean_std(results[("linear", public)], "mae")[0]
+        mlp_mae = mean_std(results[("mlp", public)], "mae")[0]
         assert abs(linear_mae - 11.2) <= 1.5, f"linear MAE {linear_mae:.2f}"
         assert abs(mlp_mae - 10.9) <= 1.5, f"mlp MAE {mlp_mae:.2f}"
 
         mlp_res = results[("mlp", public)]
-        assert abs(mlp_res.under_mean_std[0] - 24.9) <= 4.0
-        assert abs(mlp_res.within_mean_std[0] - 42.3) <= 4.0
-        assert abs(mlp_res.over_mean_std[0] - 33.8) <= 4.0
+        assert abs(mean_std(mlp_res, "under")[0] - 24.9) <= 4.0
+        assert abs(mean_std(mlp_res, "within")[0] - 42.3) <= 4.0
+        assert abs(mean_std(mlp_res, "over")[0] - 33.8) <= 4.0
 
         for cat in FeatureCategory:
             name = f"With all except {cat.label}"
-            distilled = results[("distilled", name)].mae_mean_std[0]
-            partial = results[("partial", name)].mae_mean_std[0]
+            distilled = mean_std(results[("distilled", name)], "mae")[0]
+            partial = mean_std(results[("partial", name)], "mae")[0]
             assert distilled <= partial, name
 
 

@@ -204,8 +204,31 @@ class TestSelectFeatures:
         # genotypic features are protected by default
         assert {"genotypic_0", "genotypic_1"} <= set(report["kept"])
 
+    def test_nan_epsilon_is_usage_error(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "bae"
+        code = run_command([
+            "select-features", "--data", str(data), "--schema", str(schema),
+            "--out", str(out), "--epsilon", "nan",
+        ])
+        assert code == 2
+        assert "usage error: epsilon must be a number" in capsys.readouterr().err
+        assert not (out / "bae.json").exists()
+
 
 class TestTrainPredict:
+    def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
+        """Zero epochs would pack the untrained initial weights as a model."""
+        data, schema = synth(tmp_path)
+        out = tmp_path / "m"
+        code = run_command([
+            "train", "--data", str(data), "--schema", str(schema), "--out", str(out),
+            "--profile", "public", "--max-epochs", "0", "--patience", "0", "--jobs", "1",
+        ])
+        assert code == 2
+        assert "usage error: max_epochs must be >= 1" in capsys.readouterr().err
+        assert not (out / "pack.json").exists()
+
     def test_train_public_writes_model_and_report(self, tmp_path):
         data, schema = synth(tmp_path)
         out = tmp_path / "m"
@@ -605,6 +628,39 @@ class TestEvaluate:
         safety = read_rows(out / "safety.csv")
         # linear + mlp on public, partial + distilled per profile
         assert len(acc) == len(safety) == 1 + 2 + 2 * 9
+
+    def test_tables_restate_the_study(self, tmp_path):
+        """Every accuracy.csv and safety.csv cell is its study.json value at six
+        significant digits; two runs, so the stds are not all zero."""
+        data, schema = synth(tmp_path, n=200)
+        out = tmp_path / "e"
+        assert run_command([
+            "evaluate", "--data", str(data), "--schema", str(schema),
+            "--out", str(out), "--runs", "2", "--grid", "0,1", *FAST,
+        ]) == 0
+        study = json.loads((out / "study.json").read_text())
+        arms = {key: arm for key, arm in study.items() if key != "risk_legend"}
+        stats = ("mae", "mape", "under", "within", "over")
+        for arm in arms.values():
+            assert set(arm) == {"model", "profile", "per_run"} | {
+                f"{stat}_{part}" for stat in stats for part in ("mean", "std")
+            }
+            assert len(arm["per_run"]) == 2
+        assert any(arm["mae_std"] > 0 for arm in arms.values())
+
+        columns = {
+            "accuracy.csv": ["mae_mean", "mae_std", "mape_mean", "mape_std"],
+            "safety.csv": ["under_mean", "within_mean", "over_mean",
+                           "under_std", "within_std", "over_std"],
+        }
+        for table, keys in columns.items():
+            header, *rows = read_rows(out / table)
+            assert header[:2] == ["model", "profile"] and len(header) == 2 + len(keys)
+            assert [f"{model}|{profile}" for model, profile, *_ in rows] == sorted(arms)
+            for model, profile, *cells in rows:
+                arm = arms[f"{model}|{profile}"]
+                assert (arm["model"], arm["profile"]) == (model, profile)
+                assert cells == [f"{arm[key]:.6g}" for key in keys]
 
     def test_outputs_identical_regardless_of_jobs(self, tmp_path):
         data, schema = synth(tmp_path, n=200)

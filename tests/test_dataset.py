@@ -337,6 +337,19 @@ class TestSynthetic:
                 writer.writerow({name: column[i] for name, column in columns.items()})
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_genotypic_features_are_the_privileged_three_level_columns(self):
+        spec = SyntheticSpec(n=300, genotypic=3)
+        visible, privileged = spec.partition()
+        layout = spec.layout()
+        assert privileged == [
+            i for i, (_, cat, _) in enumerate(layout) if cat is FeatureCategory.GENOTYPIC
+        ] == [11, 12, 13]
+        assert sorted(visible + privileged) == list(range(spec.d))
+        columns, _ = generate_synthetic(spec, seed=4)
+        for name, _, kind in layout:
+            if kind == "categorical":
+                assert set(columns[name]) == {"A", "B", "C"}
+
     def test_different_seed_differs(self):
         spec = SyntheticSpec(n=50)
         assert generate_synthetic(spec, 1)[0] != generate_synthetic(spec, 2)[0]

@@ -9,12 +9,14 @@ from dosedistill.dataset import load_and_validate
 from dosedistill.distillation import DistillationConfig
 from dosedistill.evaluation import (
     DoseBand,
+    STUDY_STATS,
     SafetyPartition,
     classify_dose,
     evaluate_model,
     evaluate_predictions,
     mae,
     mape,
+    mean_std,
     run_study,
 )
 from dosedistill.models import LinearModel, TrainConfig
@@ -59,6 +61,16 @@ class TestMape:
             mape([1.0], [0.0])
         with pytest.raises(ValueError):
             mape([1.0], [-3.0])
+
+
+@pytest.mark.parametrize("metric", [mae, mape, evaluate_predictions])
+def test_metrics_share_the_argument_checks(metric):
+    with pytest.raises(ValueError, match=r"shape mismatch: \(1,\) vs \(2,\)"):
+        metric([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"shape mismatch: \(1, 1\) vs \(1, 1\)"):
+        metric([[1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="empty input"):
+        metric([], [])
 
 
 class TestClassifyDose:
@@ -174,7 +186,7 @@ class TestRunStudy:
         b = run_study(records, catalog, profiles, self.fast_config(3), runs=1)
         assert a.keys() == b.keys()
         for key in a:
-            assert a[key].per_run == b[key].per_run
+            assert a[key] == b[key]
 
     def test_public_only_catalog_collapses_arms(self, dataset):
         catalog, records = dataset
@@ -182,9 +194,9 @@ class TestRunStudy:
         results = run_study(records, catalog, public_only, self.fast_config(1), runs=1)
         name = public_only.public.name
         assert (
-            results[("mlp", name)].per_run
-            == results[("partial", name)].per_run
-            == results[("distilled", name)].per_run
+            results[("mlp", name)]
+            == results[("partial", name)]
+            == results[("distilled", name)]
         )
 
     def test_arms_and_aggregates(self, dataset):
@@ -195,13 +207,16 @@ class TestRunStudy:
         assert ("linear", profiles.public.name) in results
         assert ("mlp", profiles.public.name) in results
         for profile in profiles:
-            assert len(results[("partial", profile.name)].per_run) == runs
-            assert len(results[("distilled", profile.name)].per_run) == runs
-        r = results[("linear", profiles.public.name)]
-        mean, std = r.mae_mean_std
-        vals = [rep.mae for rep in r.per_run]
-        assert mean == pytest.approx(np.mean(vals))
-        assert std == pytest.approx(np.std(vals))
+            assert len(results[("partial", profile.name)]) == runs
+            assert len(results[("distilled", profile.name)]) == runs
+        assert len(results) == 2 + 2 * len(profiles)
+        for reports in results.values():
+            assert len(reports) == runs
+            for stat, pick in STUDY_STATS.items():
+                mean, std = mean_std(reports, stat)
+                vals = [pick(rep) for rep in reports]
+                assert mean == pytest.approx(np.mean(vals))
+                assert std == pytest.approx(np.std(vals))
 
     def test_all_features_teacher_is_the_mlp_arm(self, dataset, monkeypatch):
         from dosedistill import distillation
@@ -225,4 +240,4 @@ class TestRunStudy:
         two = run_study(records, catalog, profiles, self.fast_config(5), runs=2)
         one = run_study(records, catalog, profiles, self.fast_config(6), runs=1)
         key = ("partial", profiles.profiles[1].name)
-        assert two[key].per_run[1] == one[key].per_run[0]
+        assert two[key][1] == one[key][0]

@@ -117,6 +117,23 @@ class TestBackwardElimination:
         sizes = [len(rnd) for rnd in result.trace]
         assert sizes == list(range(6, 6 - len(result.removed), -1))
 
+    def test_nan_epsilon_rejected(self):
+        """``best > current + nan`` is never true, so NaN would silently drop
+        every unprotected feature."""
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            backward_attribute_elimination(linear_cohort(seed=2), epsilon=float("nan"))
+
+    def test_infinite_and_negative_epsilon_keep_their_meaning(self):
+        cohort = linear_cohort(seed=4, noise=0.3)
+        everything = backward_attribute_elimination(
+            cohort, protected={1}, epsilon=float("inf"), folds=5, seed=0
+        )
+        assert everything.kept == (1,)
+        nothing = backward_attribute_elimination(
+            cohort, epsilon=-float("inf"), folds=5, seed=0
+        )
+        assert nothing.kept == (0, 1, 2) and nothing.removed == ()
+
     def test_pure_function_of_inputs(self):
         cohort = linear_cohort(seed=6, noise=0.4)
         a = backward_attribute_elimination(cohort, epsilon=0.05, folds=5, seed=8)

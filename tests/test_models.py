@@ -212,6 +212,11 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(patience=600, max_epochs=500)
 
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="max_epochs must be >= 1"):
+            TrainConfig(max_epochs=0, patience=0)
+        assert TrainConfig(max_epochs=1, patience=0).max_epochs == 1
+
 
 def stopping_targets():
     """Five target rows on shared X whose lone fits stop at different epochs."""
