@@ -20,6 +20,7 @@ from .distillation import (
     DistillationConfig,
     DistilledBundle,
     PrivilegedInputs,
+    run_study,
     soft_targets,
     sweep_lambda,
     sweep_profiles,
@@ -35,15 +36,10 @@ from .errors import (
 )
 from .evaluation import (
     STUDY_STATS,
-    DoseBand,
     EvalReport,
     SafetyPartition,
-    classify_dose,
     evaluate_model,
-    mae,
-    mape,
     mean_std,
-    run_study,
 )
 from .feature_selection import (
     BaeResult,

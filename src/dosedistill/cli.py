@@ -29,9 +29,9 @@ from .dataset import (
     standardize,
     write_csv,
 )
-from .distillation import DistillationConfig, PrivilegedInputs, sweep_profiles
+from .distillation import DistillationConfig, PrivilegedInputs, run_study, sweep_profiles
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
-from .evaluation import RISK_LABELS, STUDY_STATS, mean_std, run_study
+from .evaluation import RISK_LABELS, STUDY_STATS, mean_std
 from .feature_selection import backward_attribute_elimination
 from .models import TrainConfig
 from .profiles import (
@@ -60,7 +60,10 @@ def _out_dir(args) -> Path:
     if not out:
         raise DataError("no output directory: pass --out or set DOSEDISTILL_OUT")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make output directory {path}: {exc.strerror}") from None
     return path
 
 

@@ -206,6 +206,8 @@ def load_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -215,17 +217,22 @@ def load_json(path: str | Path) -> Any:
 def save_json(path: str | Path, obj: Any) -> None:
     """Write ``obj`` as UTF-8 JSON with sorted keys and a fixed indent, so equal
     objects give equal bytes."""
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as a UTF-8 CSV with bare-newline line ends."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with Path(path).open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_schema(schema_path: str | Path) -> dict:
@@ -287,19 +294,14 @@ def load_and_validate(
         raise DataError(f"target column {target_col!r} also declared as a feature")
 
     path = Path(data_path)
-    try:
-        handle = path.open(newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {path}") from None
-
     expected = set(feature_names) | {target_col} | ({id_col} if id_col else set())
     ids: list[str] = []
     ys: list[float] = []
     columns: list[list] = [[] for _ in declared]
     dropped_target = 0
     dropped_missing = 0
-    with handle:
-        try:
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -347,8 +349,12 @@ def load_and_validate(
                         column.append(value)
                     ids.append((row[id_at].strip() if id_at is not None else "") or f"row{lineno}")
                     ys.append(y * dose_scale)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not valid UTF-8: {exc}") from None
+    except FileNotFoundError:
+        raise DataError(f"data file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not valid UTF-8: {exc}") from None
 
     if dropped_target or dropped_missing:
         log.info(

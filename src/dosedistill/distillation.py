@@ -21,6 +21,7 @@ shrinks: at weight lambda and temperature T the blended target is
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -30,8 +31,8 @@ import numpy as np
 from .dataset import Cohort, EncodedRows, FeatureCatalog, split_cohorts
 from .errors import DataError
 from .evaluation import EvalReport, evaluate_model
-from .models import MlpModel, TrainConfig, train_mlp, train_mlp_stack
-from .profiles import Profile
+from .models import MlpModel, TrainConfig, fit_least_squares, train_mlp, train_mlp_stack
+from .profiles import Profile, ProfileCatalog
 
 DEFAULT_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 
@@ -73,14 +74,11 @@ class DistillationConfig:
 def privileged_feature_indices(
     profile: Profile, mode: PrivilegedInputs
 ) -> tuple[int, ...]:
-    if mode is PrivilegedInputs.ALL_FEATURES:
-        return tuple(range(profile.dim))
-    if not profile.redacted_features:
-        raise DataError(
-            f"profile {profile.name!r} redacts nothing; redacted-only privileged "
-            "inputs are undefined"
-        )
-    return profile.redacted_sorted
+    """The columns that teach ``profile``: its withheld ones under
+    ``REDACTED_ONLY``, and every column otherwise or when it withholds none."""
+    if mode is PrivilegedInputs.REDACTED_ONLY and profile.redacted_features:
+        return profile.redacted_sorted
+    return tuple(range(profile.dim))
 
 
 def train_privileged(
@@ -197,12 +195,11 @@ def sweep_profiles(
     """``sweep_lambda`` for each profile, one teacher per column set, with
     results in profile order.
 
-    A profile that redacts nothing is taught from all features, since
-    redacted-only privileged inputs are undefined for it. A teacher depends
-    only on the training rows, its columns and ``config.train``, so each
-    distinct privileged column set is fitted once, into ``teachers``; a
-    caller may seed it with models fitted on the same ``train`` and
-    ``config.train``, keyed by their column tuples.
+    A teacher depends only on the training rows, its columns
+    (``privileged_feature_indices``) and ``config.train``, so each distinct
+    privileged column set is fitted once, into ``teachers``; a caller may
+    seed it with models fitted on the same ``train`` and ``config.train``,
+    keyed by their column tuples.
 
     The teachers are fitted here first. The sweeps depend only on their own
     profile and teacher, so with ``jobs > 1`` they run in a pool of up to
@@ -212,13 +209,10 @@ def sweep_profiles(
     teachers = {} if teachers is None else teachers
     tasks = []
     for profile in profiles:
-        cfg = config
-        if profile.is_public:
-            cfg = replace(config, privileged_inputs=PrivilegedInputs.ALL_FEATURES)
-        cols = privileged_feature_indices(profile, cfg.privileged_inputs)
+        cols = privileged_feature_indices(profile, config.privileged_inputs)
         if cols not in teachers:
-            teachers[cols] = train_privileged(train, profile, cfg)
-        tasks.append((train, valid, profile, cfg, teachers[cols]))
+            teachers[cols] = train_privileged(train, profile, config)
+        tasks.append((train, valid, profile, config, teachers[cols]))
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return list(map(_sweep_task, tasks))
@@ -227,3 +221,59 @@ def sweep_profiles(
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_task, tasks))
+
+
+def run_study(
+    records: EncodedRows,
+    catalog: FeatureCatalog,
+    profile_catalog: ProfileCatalog,
+    config: DistillationConfig,
+    runs: int = 10,
+    jobs: int = 1,
+) -> dict[tuple[str, str], tuple[EvalReport, ...]]:
+    """Per-run reports of all four arms, keyed by (arm, profile name), in run order.
+
+    Run j uses ``config`` with training seed ``config.train.seed + j``,
+    which is also its split seed: a non-redacted linear model and
+    a non-redacted MLP on the public profile, then per profile the
+    partially-redacted model (lambda 0) and the best-lambda imitation model,
+    with the best lambda re-selected on that run's validation split.
+    Profiles that redact nothing reuse the non-redacted MLP's report for
+    both arms. Each run fits one teacher per privileged column set; the
+    public profile's teacher is the non-redacted MLP itself, the same fit.
+    ``jobs`` is passed on to ``sweep_profiles``; ``evaluation.mean_std``
+    aggregates an arm.
+    """
+    if runs < 1:
+        raise ValueError("need at least one run")
+    grid = config.lambda_grid
+    if grid[0] != 0.0:
+        config = replace(config, lambda_grid=(0.0, *grid))
+
+    public = profile_catalog.public
+    public_cols = privileged_feature_indices(public, config.privileged_inputs)
+    reports: dict[tuple[str, str], list[EvalReport]] = defaultdict(list)
+    for j in range(runs):
+        seed_j = config.train.seed + j
+        run_config = replace(config, train=replace(config.train, seed=seed_j))
+        train, valid = run_config.split(records, catalog)
+
+        linear = fit_least_squares(train.X, train.y)
+        reports["linear", public.name].append(evaluate_model(linear, valid, public))
+        mlp = train_mlp(train.X, train.y, run_config.train)
+        mlp_report = evaluate_model(mlp, valid, public)
+        reports["mlp", public.name].append(mlp_report)
+        redacting = [p for p in profile_catalog if not p.is_public]
+        swept = iter(sweep_profiles(
+            train, valid, redacting, run_config, {public_cols: mlp}, jobs
+        ))
+        for profile in profile_catalog:
+            if profile.is_public:
+                partial = distilled = mlp_report
+            else:
+                points, best = next(swept)
+                partial, distilled = points[0][1], best.metrics
+            reports["partial", profile.name].append(partial)
+            reports["distilled", profile.name].append(distilled)
+
+    return {key: tuple(reps) for key, reps in reports.items()}

@@ -234,22 +234,25 @@ class TrainConfig:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # refuses nan too
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam betas must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
+        if not 0 <= self.patience <= self.max_epochs:
+            raise ValueError(f"patience must be in [0, max_epochs], got {self.patience}")
         if not 0 < self.holdout_fraction < 1:
             raise ValueError("holdout_fraction must be in (0, 1)")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is raised below
 def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
     """Train one model per row of ``targets`` (K, n) on the shared rows ``X``.
 

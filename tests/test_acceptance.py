@@ -17,18 +17,13 @@ from dosedistill.dataset import FeatureCategory, load_and_validate, split_cohort
 from dosedistill.distillation import (
     DistillationConfig,
     privileged_feature_indices,
+    run_study,
     soft_targets,
     sweep_lambda,
     train_distilled,
     train_privileged,
 )
-from dosedistill.evaluation import (
-    DoseBand,
-    classify_dose,
-    evaluate_model,
-    mean_std,
-    run_study,
-)
+from dosedistill.evaluation import evaluate_model, evaluate_predictions, mean_std
 from dosedistill.feature_selection import backward_attribute_elimination
 from dosedistill.models import (
     TrainConfig,
@@ -101,15 +96,19 @@ def test_criterion_3_linear_recovery():
 def test_criterion_4_safety_partition_totality():
     with criterion(4, "safety window is exhaustive, exclusive, and inclusive"):
         rng = np.random.default_rng(99)
-        counts = {band: 0 for band in DoseBand}
-        for _ in range(10_000):
-            truth = float(rng.uniform(0.01, 150.0))
-            pred = float(rng.uniform(-50.0, 250.0))
-            counts[classify_dose(pred, truth)] += 1
-        assert sum(counts.values()) == 10_000
-        for truth in rng.uniform(0.01, 150.0, 200):
-            assert classify_dose(1.2 * truth, truth) is DoseBand.WITHIN_WINDOW
-            assert classify_dose(0.8 * truth, truth) is DoseBand.WITHIN_WINDOW
+        # row i is (truth_i, pred_i): the draws a per-pair loop would make
+        truths, preds = rng.uniform([0.01, -50.0], [150.0, 250.0], size=(10_000, 2)).T
+        safety = evaluate_predictions(preds, truths).safety
+        under = preds < 0.8 * truths
+        within = (preds >= 0.8 * truths) & (preds <= 1.2 * truths)
+        over = preds > 1.2 * truths
+        assert (safety.under, safety.within, safety.over) == (
+            under.sum(), within.sum(), over.sum()
+        )
+        assert safety.under + safety.within + safety.over == 10_000
+        truths = rng.uniform(0.01, 150.0, 200)
+        for factor in (0.8, 1.2):
+            assert evaluate_predictions(factor * truths, truths).safety.within == 200
 
 
 AC5_SPEC = SyntheticSpec(

@@ -105,9 +105,11 @@ class TestSynthPrepare:
     @pytest.mark.parametrize("bad_file", [
         "data", "schema", "pack",
         "schema-missing", "schema-not-json", "pack-missing", "pack-not-json",
+        "data-dir", "schema-dir", "pack-dir",
     ])
     def test_non_utf8_file_is_data_error(self, tmp_path, capsys, bad_file):
-        """An input that is not UTF-8, is missing or is not JSON exits 3 and is named."""
+        """An input that is not UTF-8, is missing, is not JSON or is a
+        directory exits 3 and is named."""
         data, schema = synth(tmp_path)
         pack = tmp_path / "pack.json"
         pack.write_text('{"format_version": 1}')
@@ -119,6 +121,10 @@ class TestSynthPrepare:
         elif damage == "not-json":
             bad.write_text("{not json", encoding="utf-8")
             expected = "not valid JSON"
+        elif damage == "dir":
+            bad.unlink()
+            bad.mkdir()
+            expected = "cannot read"
         else:
             bad.write_bytes(bad.read_bytes().replace(b"1", b"\xe9", 1))
             expected = "not valid UTF-8"
@@ -129,6 +135,24 @@ class TestSynthPrepare:
         assert run_command(argv) == 3
         err = capsys.readouterr().err
         assert expected in err and bad.name in err
+
+    @pytest.mark.parametrize("target", ["out-is-a-file", "dump-in-missing-dir"])
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, target):
+        """An output that cannot be made exits 3 and is named, with no traceback."""
+        data, schema = synth(tmp_path)
+        if target == "out-is-a-file":
+            bad = tmp_path / "taken"
+            bad.write_text("")
+            argv = ["synth", "--out", str(bad)]
+        else:
+            bad = tmp_path / "missing" / "encoded.csv"
+            argv = ["prepare", "--data", str(data), "--schema", str(schema),
+                    "--dump-encoded", str(bad)]
+        capsys.readouterr()
+        assert run_command(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: cannot" in captured.err
+        assert str(bad) in captured.err
 
     @pytest.mark.parametrize(
         "grid",

@@ -14,6 +14,7 @@ from dosedistill.distillation import (
     DistillationConfig,
     DistilledBundle,
     PrivilegedInputs,
+    privileged_feature_indices,
     soft_targets,
     sweep_lambda,
     sweep_profiles,
@@ -87,14 +88,20 @@ class TestPrivileged:
         teacher = train_privileged(train, closed, config)
         assert teacher.dim == len(closed.redacted_features) == 2
 
-    def test_redacted_only_on_public_profile_rejected(self, cohorts):
+    def test_redacted_only_on_public_profile_teaches_from_all_features(self, cohorts):
         catalog, train, _ = cohorts
-        profiles = default_catalog(catalog)
+        public = default_catalog(catalog).public
         config = DistillationConfig(
             privileged_inputs=PrivilegedInputs.REDACTED_ONLY, train=fast_train()
         )
-        with pytest.raises(DataError, match="redacts nothing"):
-            train_privileged(train, profiles.public, config)
+        all_features = replace(config, privileged_inputs=PrivilegedInputs.ALL_FEATURES)
+        assert privileged_feature_indices(public, config.privileged_inputs) == tuple(
+            range(catalog.d)
+        )
+        assert models_equal(
+            train_privileged(train, public, config),
+            train_privileged(train, public, all_features),
+        )
 
 
 class TestDistilled:
@@ -155,7 +162,7 @@ class TestDistilled:
 class TestSweepProfiles:
     @pytest.mark.parametrize("mode, teachers_fitted", [
         (PrivilegedInputs.ALL_FEATURES, 1),
-        # the public profile falls back to all features; the other eight
+        # the public profile is taught from all features; the other eight
         # redact eight distinct column sets
         (PrivilegedInputs.REDACTED_ONLY, 9),
     ])
@@ -180,11 +187,8 @@ class TestSweepProfiles:
 
         assert [best.profile for _, best in results] == profiles
         for profile, (points, best) in zip(profiles, results):
-            cfg = config
-            if profile.is_public:
-                cfg = replace(config, privileged_inputs=PrivilegedInputs.ALL_FEATURES)
             ref_points, ref_best = sweep_lambda(
-                train, valid, profile, cfg, train_privileged(train, profile, cfg)
+                train, valid, profile, config, train_privileged(train, profile, config)
             )
             assert points == ref_points, profile.name
             assert best.lam == ref_best.lam

@@ -1,23 +1,22 @@
 """Metrics, the safety window, and the repeated-split study."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dosedistill import evaluation
 from dosedistill.dataset import load_and_validate
-from dosedistill.distillation import DistillationConfig
+from dosedistill.distillation import DistillationConfig, run_study
 from dosedistill.evaluation import (
-    DoseBand,
     STUDY_STATS,
     SafetyPartition,
-    classify_dose,
     evaluate_model,
     evaluate_predictions,
-    mae,
-    mape,
     mean_std,
-    run_study,
 )
 from dosedistill.models import LinearModel, TrainConfig
 from dosedistill.profiles import Profile, ProfileCatalog, default_catalog
@@ -26,44 +25,60 @@ from dosedistill.synthetic import SyntheticSpec
 from conftest import make_cohort, write_synth
 
 
+def band(pred: float, truth: float) -> str:
+    """The one safety band the scorer puts a single prediction in."""
+    s = evaluate_predictions([pred], [truth]).safety
+    [name] = [n for n in ("under", "within", "over") if getattr(s, n)]
+    return name
+
+
 class TestMae:
     def test_perfect(self):
-        assert mae([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert evaluate_predictions([1.0, 2.0], [1.0, 2.0]).mae == 0.0
 
     def test_arithmetic(self):
-        assert mae([10.0, 20.0], [12.0, 16.0]) == 3.0
+        assert evaluate_predictions([10.0, 20.0], [12.0, 16.0]).mae == 3.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mae([1.0], [1.0, 2.0])
+            evaluate_predictions([1.0], [1.0, 2.0])
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            mae([], [])
+            evaluate_predictions([], [])
 
     def test_translation_and_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        p, t = rng.standard_normal(50), rng.standard_normal(50)
-        assert mae(p + 3.7, t + 3.7) == pytest.approx(mae(p, t), rel=1e-12)
+        p, t = rng.uniform(1.0, 100.0, 50), rng.uniform(1.0, 100.0, 50)
+        base = evaluate_predictions(p, t).mae
+        assert evaluate_predictions(p + 3.7, t + 3.7).mae == pytest.approx(base, rel=1e-12)
         perm = rng.permutation(50)
-        assert mae(p[perm], t[perm]) == pytest.approx(mae(p, t), rel=1e-12)
+        permuted = evaluate_predictions(p[perm], t[perm]).mae
+        assert permuted == pytest.approx(base, rel=1e-12)
 
 
 class TestMape:
     def test_ten_percent(self):
-        assert mape([9.0], [10.0]) == pytest.approx(10.0)
+        assert evaluate_predictions([9.0], [10.0]).mape == pytest.approx(10.0)
 
     def test_perfect(self):
-        assert mape([5.0, 6.0], [5.0, 6.0]) == 0.0
+        assert evaluate_predictions([5.0, 6.0], [5.0, 6.0]).mape == 0.0
 
     def test_nonpositive_truth_rejected(self):
         with pytest.raises(ValueError):
-            mape([1.0], [0.0])
+            evaluate_predictions([1.0], [0.0])
         with pytest.raises(ValueError):
-            mape([1.0], [-3.0])
+            evaluate_predictions([1.0], [-3.0])
 
 
-@pytest.mark.parametrize("metric", [mae, mape, evaluate_predictions])
+METRICS = {
+    "evaluate_predictions": evaluate_predictions,
+    "mae": lambda p, t: evaluate_predictions(p, t).mae,
+    "mape": lambda p, t: evaluate_predictions(p, t).mape,
+}
+
+
+@pytest.mark.parametrize("metric", METRICS.values(), ids=METRICS.keys())
 def test_metrics_share_the_argument_checks(metric):
     with pytest.raises(ValueError, match=r"shape mismatch: \(1,\) vs \(2,\)"):
         metric([1.0], [1.0, 2.0])
@@ -71,27 +86,29 @@ def test_metrics_share_the_argument_checks(metric):
         metric([[1.0]], [[1.0]])
     with pytest.raises(ValueError, match="empty input"):
         metric([], [])
+    with pytest.raises(ValueError, match="positive"):
+        metric([1.0, 2.0], [1.0, 0.0])
 
 
 class TestClassifyDose:
     def test_inside_window(self):
-        assert classify_dose(40.0, 35.0) is DoseBand.WITHIN_WINDOW
+        assert band(40.0, 35.0) == "within"
 
     def test_inclusive_upper_boundary(self):
-        assert classify_dose(42.0, 35.0) is DoseBand.WITHIN_WINDOW
+        assert band(42.0, 35.0) == "within"
 
     def test_under(self):
-        assert classify_dose(27.9, 35.0) is DoseBand.UNDER
+        assert band(27.9, 35.0) == "under"
 
     def test_nonpositive_truth(self):
         with pytest.raises(ValueError):
-            classify_dose(1.0, 0.0)
+            band(1.0, 0.0)
 
     def test_boundaries_classify_within(self):
         rng = np.random.default_rng(1)
-        for truth in rng.uniform(0.01, 200.0, 500):
-            assert classify_dose(1.2 * truth, truth) is DoseBand.WITHIN_WINDOW
-            assert classify_dose(0.8 * truth, truth) is DoseBand.WITHIN_WINDOW
+        truths = rng.uniform(0.01, 200.0, 500)
+        assert evaluate_predictions(1.2 * truths, truths).safety.within == 500
+        assert evaluate_predictions(0.8 * truths, truths).safety.within == 500
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -99,10 +116,10 @@ class TestClassifyDose:
         truth=st.floats(1e-3, 1e6, allow_nan=False),
     )
     def test_exactly_one_band(self, pred, truth):
-        band = classify_dose(pred, truth)
-        others = {DoseBand.UNDER, DoseBand.WITHIN_WINDOW, DoseBand.OVER} - {band}
-        assert band in DoseBand
-        assert len(others) == 2
+        expected = (
+            "under" if pred < 0.8 * truth else "over" if pred > 1.2 * truth else "within"
+        )
+        assert band(pred, truth) == expected
 
 
 class TestSafetyPartition:
@@ -241,3 +258,18 @@ class TestRunStudy:
         one = run_study(records, catalog, profiles, self.fast_config(6), runs=1)
         key = ("partial", profiles.profiles[1].name)
         assert two[key][1] == one[key][0]
+
+
+def test_evaluation_only_scores():
+    """evaluation.py trains nothing: it imports neither the models nor the
+    distillation module, not even for type checking."""
+    source = Path(evaluation.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    modules = {name.rsplit(".", 1)[-1] for name in imported}
+    assert modules & {"models", "distillation"} == set()
+    assert "TYPE_CHECKING" not in source

@@ -1,5 +1,7 @@
 """Linear least squares, MLP forward/backward, Adam training."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,11 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(patience=600, max_epochs=500)
+        for lr in (float("nan"), float("inf"), -1e-3):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                TrainConfig(learning_rate=lr)
+        with pytest.raises(ValueError, match="patience must be in"):
+            TrainConfig(patience=-1)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="max_epochs must be >= 1"):
@@ -250,6 +257,15 @@ class TestStack:
         T[2] *= 1e200  # finite targets whose squared error overflows
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train_mlp_stack(X, T, TrainConfig(seed=4, max_epochs=60, patience=3))
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        X, T = stopping_targets()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would surface here
+            with pytest.raises(TrainingDivergedError, match="epoch 1"):
+                train_mlp_stack(
+                    X, T, TrainConfig(learning_rate=1e300, max_epochs=5, patience=1)
+                )
 
     def test_targets_must_be_one_row_per_member(self):
         X, T = stopping_targets()
