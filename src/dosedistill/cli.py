@@ -56,10 +56,25 @@ SEED_HELP = (
 
 
 def _out_dir(args) -> Path:
+    """The output directory a command names; ``_made`` creates it once the
+    command has something to write, so a failing command leaves none behind.
+
+    A path that can never be a directory (it, or its nearest existing
+    ancestor, is a file) is refused here, before the command does any work.
+    """
     out = args.out or os.environ.get("DOSEDISTILL_OUT")
     if not out:
         raise DataError("no output directory: pass --out or set DOSEDISTILL_OUT")
     path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(
+            f"cannot make output directory {path}: {existing} is not a directory"
+        )
+    return path
+
+
+def _made(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -202,7 +217,7 @@ def _cmd_synth(args) -> int:
         base_dose=args.base_dose,
     )
     columns, schema = generate_synthetic(spec, args.seed)
-    write_dataset(columns, schema, out / "data.csv", out / "schema.json")
+    write_dataset(columns, schema, _made(out) / "data.csv", out / "schema.json")
     serialize.save_json(out / "run_config.json", _run_config_obj(args, "synth"))
     print(f"synth: wrote {spec.n} records (d={spec.d}) to {out}")
     return EXIT_OK
@@ -214,7 +229,7 @@ def _cmd_prepare(args) -> int:
     if args.dump_encoded:
         cohort_to_csv(cohort, args.dump_encoded)
     if args.out:
-        out = _out_dir(args)
+        out = _made(_out_dir(args))
         serialize.save_json(out / "run_config.json", _run_config_obj(args, "prepare"))
     print(
         f"prepare: {len(records)} usable records, d={catalog.d}, "
@@ -247,7 +262,7 @@ def _cmd_select_features(args) -> int:
             for rnd in result.trace
         ],
     }
-    serialize.save_json(out / "bae.json", obj)
+    serialize.save_json(_made(out) / "bae.json", obj)
     serialize.save_json(
         out / "run_config.json", _run_config_obj(args, "select-features")
     )
@@ -300,7 +315,7 @@ def _write_table(path: Path, header: Sequence[str], rows) -> None:
 def _cmd_train(args) -> int:
     out = _out_dir(args)
     pack, bundles, _ = _fit_profiles(args)
-    serialize.save_json(out / "pack.json", pack)
+    serialize.save_json(_made(out) / "pack.json", pack)
     report_obj = {
         b.profile.name: {
             "lambda": b.lam,
@@ -322,7 +337,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     pack, bundles, points = _fit_profiles(args)
     _write_table(
-        out / "sweep.csv",
+        _made(out) / "sweep.csv",
         ["profile", "lambda", "mae", "mape", "sw", "under", "over"],
         (
             [name, f"{lam:g}", rep.mae, rep.mape, rep.safety.within_pct,
@@ -362,7 +377,7 @@ def _cmd_evaluate(args) -> int:
         }
         for (kind, name), arm in stats.items()
     }
-    serialize.save_json(out / "study.json", study_obj)
+    serialize.save_json(_made(out) / "study.json", study_obj)
 
     _write_table(
         out / "accuracy.csv",

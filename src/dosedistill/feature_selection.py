@@ -1,10 +1,14 @@
 """Backward attribute elimination over clinical features.
 
-Each round fits the least-squares scorer once per candidate single-feature
-removal, drops the feature whose removal gives the lowest cross-validated
-MAE, and stops when even the best removal degrades the current score by
-more than ``epsilon`` dose units. Genotypic features are typically passed
-as ``protected`` so they never become removal candidates.
+Each round scores every candidate single-feature removal by cross-validated
+least-squares MAE, drops the feature whose removal gives the lowest score,
+and stops when even the best removal degrades the current score by more than
+``epsilon`` dose units. Genotypic features are typically passed as
+``protected`` so they never become removal candidates.
+
+A run builds each fold's normal equations of ``[X, 1]`` once, over every
+feature. Any subset is then scored from their sub-block: one small damped
+solve per fold, and the held-out predictions on the subset's columns.
 """
 
 from __future__ import annotations
@@ -16,10 +20,14 @@ import numpy as np
 
 from .dataset import Cohort
 from .errors import DataError
-from .models import fit_least_squares
+from .models import solve_normal_equations
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_FOLDS = 5
+# Removal scores within this relative distance of a round's best are a tie:
+# two removals that leave the same fit (a duplicated column) differ only by
+# rounding.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,24 +59,54 @@ def _fold_slices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(perm, folds)
 
 
+_FoldStats = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _fold_stats(train: Cohort, folds: int, seed: int) -> _FoldStats:
+    """Per fold: its held-out rows, and the Gram matrix of ``[X, 1]`` and
+    ``[X, 1]ᵀy`` over the other rows, the intercept last."""
+    X, y = train.X, train.y
+    d = X.shape[1]
+    stats = []
+    for fold in _fold_slices(len(train), folds, seed):
+        mask = np.ones(len(train), dtype=bool)
+        mask[fold] = False
+        Xt, yt = X[mask], y[mask]
+        gram = np.empty((d + 1, d + 1))
+        gram[:d, :d] = Xt.T @ Xt
+        gram[:d, d] = gram[d, :d] = Xt.sum(axis=0)
+        gram[d, d] = len(yt)
+        stats.append((fold, gram, np.append(Xt.T @ yt, yt.sum())))
+    return stats
+
+
+def _score(train: Cohort, stats: _FoldStats, subset: list[int]) -> float:
+    cols = [*subset, train.X.shape[1]]
+    abs_errors = np.empty(len(train))
+    for fold, gram, rhs in stats:
+        model = solve_normal_equations(gram[np.ix_(cols, cols)], rhs[cols])
+        preds = model.predict(train.X[fold][:, subset])
+        abs_errors[fold] = np.abs(preds - train.y[fold])
+    return float(abs_errors.mean())
+
+
 def subset_score(
     train: Cohort,
     feature_subset: Sequence[int] | AbstractSet[int],
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
 ) -> float:
-    """k-fold cross-validated MAE of least squares on the given columns."""
+    """k-fold cross-validated MAE of least squares on the given columns.
+
+    Builds the folds' normal equations on every call, where an elimination
+    run builds them once and scores all its subsets from them.
+    """
     subset = sorted(feature_subset)
     if not subset:
         raise ValueError("empty feature subset")
-    X, y = train.X[:, subset], train.y
-    abs_errors = np.empty(len(train))
-    for fold in _fold_slices(len(train), folds, seed):
-        mask = np.ones(len(train), dtype=bool)
-        mask[fold] = False
-        model = fit_least_squares(X[mask], y[mask])
-        abs_errors[fold] = np.abs(model.predict(X[fold]) - y[fold])
-    return float(abs_errors.mean())
+    if subset[0] < 0 or subset[-1] >= train.catalog.d:
+        raise ValueError(f"feature indices out of range: {subset}")
+    return _score(train, _fold_stats(train, folds, seed), subset)
 
 
 def backward_attribute_elimination(
@@ -82,9 +120,10 @@ def backward_attribute_elimination(
 
     Stops when the best candidate removal scores worse than the current
     kept set's CV MAE plus ``epsilon``, or when only protected features (or
-    a single feature) remain. Ties break toward the lowest feature index.
-    A negative ``epsilon`` demands improvement, an infinite one removes every
-    unprotected feature; NaN has no meaning and is refused.
+    a single feature) remain. Ties (scores within ``TIE_RTOL`` of the best)
+    break toward the lowest feature index. A negative ``epsilon`` demands
+    improvement, an infinite one removes every unprotected feature; NaN has
+    no meaning and is refused.
     """
     if np.isnan(epsilon):
         raise ValueError("epsilon must be a number, got nan")
@@ -92,8 +131,9 @@ def backward_attribute_elimination(
     bad = sorted(i for i in protected if not 0 <= i < d)
     if bad:
         raise ValueError(f"protected indices out of range: {bad}")
+    stats = _fold_stats(train, folds, seed)
     kept = list(range(d))
-    baseline = subset_score(train, kept, folds, seed)
+    baseline = _score(train, stats, kept)
     removed: list[tuple[int, float]] = []
     trace: list[tuple[tuple[int, float], ...]] = []
 
@@ -103,10 +143,12 @@ def backward_attribute_elimination(
         if not candidates:
             break
         round_scores = tuple(
-            (i, subset_score(train, [j for j in kept if j != i], folds, seed))
-            for i in candidates
+            (i, _score(train, stats, [j for j in kept if j != i])) for i in candidates
         )
-        best_idx, best_score = min(round_scores, key=lambda p: (p[1], p[0]))
+        best = min(s for _, s in round_scores)
+        best_idx, best_score = next(
+            (i, s) for i, s in round_scores if s - best <= TIE_RTOL * abs(best)
+        )
         if best_score > current + epsilon:
             break
         trace.append(round_scores)

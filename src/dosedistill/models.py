@@ -54,7 +54,7 @@ class LinearModel:
         return X @ self.alpha + self.beta
 
 
-def fit_least_squares(X, y, damping: float = LSQ_DAMPING) -> LinearModel:
+def fit_least_squares(X, y) -> LinearModel:
     """Minimize mean squared error via the normal equations.
 
     A Tikhonov damping term keeps the system solvable when encoded
@@ -63,7 +63,7 @@ def fit_least_squares(X, y, damping: float = LSQ_DAMPING) -> LinearModel:
     """
     X = _as_matrix(X)
     y = np.asarray(y, dtype=float)
-    n, d = X.shape
+    n = len(X)
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
     if n < 1:
@@ -71,8 +71,17 @@ def fit_least_squares(X, y, damping: float = LSQ_DAMPING) -> LinearModel:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DataError("least-squares inputs must be finite")
     a = np.hstack([X, np.ones((n, 1))])
-    gram = a.T @ a + damping * np.eye(d + 1)
-    coef = np.linalg.solve(gram, a.T @ y)
+    return solve_normal_equations(a.T @ a, a.T @ y)
+
+
+def solve_normal_equations(gram, rhs) -> LinearModel:
+    """The damped least-squares model from the normal equations of ``[X, 1]``.
+
+    ``gram`` is ``[X, 1]ᵀ[X, 1]`` and ``rhs`` is ``[X, 1]ᵀy``, the intercept
+    last; ``LSQ_DAMPING`` is added to the diagonal before the solve.
+    """
+    d = len(rhs) - 1
+    coef = np.linalg.solve(gram + LSQ_DAMPING * np.eye(d + 1), rhs)
     return LinearModel(coef[:d], float(coef[d]))
 
 

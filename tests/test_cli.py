@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dosedistill
-from dosedistill import distillation
+from dosedistill import cli, distillation
 from dosedistill.cli import _parse_disclosure, run_command
 from dosedistill.dataset import load_and_validate, split_cohorts, standardize
 from dosedistill.distillation import DistillationConfig
@@ -85,6 +85,20 @@ class TestSynthPrepare:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("command, options, code", [
+        ("train", {"--data": "no/such/dir/nope.csv"}, 3),
+        ("evaluate", {"--runs": "0"}, 2),
+        ("select-features", {"--folds": "100000"}, 3),
+    ])
+    def test_failing_command_leaves_no_output_directory(
+        self, tmp_path, command, options, code
+    ):
+        data, schema = synth(tmp_path)
+        fresh = tmp_path / "fresh"
+        options = {"--data": str(data), "--schema": str(schema), "--out": str(fresh)} | options
+        assert run_command([command, *(x for pair in options.items() for x in pair)]) == code
+        assert not fresh.exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run_command(["frobnicate"])
@@ -136,14 +150,24 @@ class TestSynthPrepare:
         err = capsys.readouterr().err
         assert expected in err and bad.name in err
 
-    @pytest.mark.parametrize("target", ["out-is-a-file", "dump-in-missing-dir"])
-    def test_unwritable_output_is_data_error(self, tmp_path, capsys, target):
-        """An output that cannot be made exits 3 and is named, with no traceback."""
+    @pytest.mark.parametrize(
+        "target", ["out-is-a-file", "dump-in-missing-dir", "train-out-under-a-file"]
+    )
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, monkeypatch, target):
+        """An output that cannot be made exits 3 and is named, with no traceback,
+        before any fitting starts."""
         data, schema = synth(tmp_path)
+        fits = []
+        monkeypatch.setattr(cli, "sweep_profiles", lambda *a, **k: fits.append(a))
         if target == "out-is-a-file":
             bad = tmp_path / "taken"
             bad.write_text("")
             argv = ["synth", "--out", str(bad)]
+        elif target == "train-out-under-a-file":
+            (tmp_path / "taken").write_text("")
+            bad = tmp_path / "taken" / "run"
+            argv = ["train", "--data", str(data), "--schema", str(schema),
+                    "--out", str(bad)]
         else:
             bad = tmp_path / "missing" / "encoded.csv"
             argv = ["prepare", "--data", str(data), "--schema", str(schema),
@@ -153,6 +177,7 @@ class TestSynthPrepare:
         captured = capsys.readouterr()
         assert captured.out == "" and "error: cannot" in captured.err
         assert str(bad) in captured.err
+        assert fits == []
 
     @pytest.mark.parametrize(
         "grid",

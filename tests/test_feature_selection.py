@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dosedistill import feature_selection
+from dosedistill.dataset import standardize
 from dosedistill.feature_selection import backward_attribute_elimination, subset_score
 
 from conftest import make_cohort
@@ -14,6 +16,60 @@ def linear_cohort(seed, n=240, noise=0.0):
     X = rng.standard_normal((n, 3))
     y = 3 * X[:, 0] + 2 * X[:, 1] + noise * rng.standard_normal(n) + 30
     return make_cohort(X, y)
+
+
+def duplicated_cohort(seed, n=400):
+    """Five standard-normal columns with column 3 a copy of column 1;
+    y = 3*x0 + 2*x1 + noise. Removing 1 or 3 fits the same model."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 5))
+    X[:, 3] = X[:, 1]
+    y = 3 * X[:, 0] + 2 * X[:, 1] + 0.3 * rng.standard_normal(n) + 30
+    return make_cohort(X, y)
+
+
+def near_collinear_cohort(seed, n=300):
+    """Column 2 is column 0 plus noise of std 0.05 (correlation about 0.999)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 4))
+    X[:, 2] = X[:, 0] + 0.05 * rng.standard_normal(n)
+    y = 3 * X[:, 0] + X[:, 1] + 0.5 * rng.standard_normal(n) + 30
+    return make_cohort(X, y)
+
+
+def lstsq_cv_mae(cohort, cols, folds, seed):
+    """Independent k-fold CV MAE: plain ``lstsq`` on ``[X_cols, 1]`` per fold."""
+    A = np.hstack([cohort.X[:, sorted(cols)], np.ones((len(cohort), 1))])
+    y = cohort.y
+    errors = np.empty(len(y))
+    for fold in np.array_split(np.random.default_rng(seed).permutation(len(y)), folds):
+        mask = np.ones(len(y), dtype=bool)
+        mask[fold] = False
+        coef, *_ = np.linalg.lstsq(A[mask], y[mask], rcond=None)
+        errors[fold] = np.abs(A[fold] @ coef - y[fold])
+    return float(errors.mean())
+
+
+def scored_subsets(cohort, result):
+    """Every (subset, reported score) of an elimination run, baseline first."""
+    kept = list(range(cohort.catalog.d))
+    yield list(kept), result.baseline_score
+    for rnd, (idx, _) in zip(result.trace, result.removed):
+        for i, score in rnd:
+            yield [j for j in kept if j != i], score
+        kept.remove(idx)
+
+
+@pytest.fixture
+def cohorts(small_dataset):
+    """(cohort, seed) pairs: a synthetic cohort with categorical columns, a
+    duplicated pair and a near-collinear pair."""
+    catalog, records = small_dataset
+    return [
+        (standardize(records, catalog), 3),
+        (duplicated_cohort(seed=0), 0),
+        (near_collinear_cohort(seed=2), 1),
+    ]
 
 
 class TestSubsetScore:
@@ -57,6 +113,11 @@ class TestSubsetScore:
         cohort = linear_cohort(seed=0)
         with pytest.raises(ValueError):
             subset_score(cohort, [0], folds=1, seed=0)
+
+    @pytest.mark.parametrize("subset", [[0, 3], [-1, 0]])
+    def test_out_of_range_subset_rejected(self, subset):
+        with pytest.raises(ValueError, match="out of range"):
+            subset_score(linear_cohort(seed=0), subset, folds=3, seed=0)
 
 
 class TestBackwardElimination:
@@ -139,3 +200,48 @@ class TestBackwardElimination:
         a = backward_attribute_elimination(cohort, epsilon=0.05, folds=5, seed=8)
         b = backward_attribute_elimination(cohort, epsilon=0.05, folds=5, seed=8)
         assert a == b
+
+    def test_duplicated_pair_removes_the_lower_index_first(self):
+        """The two removals of a duplicated pair score alike up to rounding;
+        the tie goes to the lower index."""
+        for seed in range(10):
+            result = backward_attribute_elimination(
+                duplicated_cohort(seed), epsilon=0.05, folds=5, seed=seed
+            )
+            order = [i for i, _ in result.removed]
+            assert 1 in order, f"seed {seed}: removed {order}"
+            assert 3 not in order[: order.index(1)], f"seed {seed}: removed {order}"
+
+    def test_every_reported_score_is_the_one_scorer(self, cohorts):
+        for cohort, seed in cohorts:
+            result = backward_attribute_elimination(
+                cohort, epsilon=float("inf"), folds=5, seed=seed
+            )
+            assert result.removed
+            for subset, score in scored_subsets(cohort, result):
+                assert score == subset_score(cohort, subset, 5, seed)
+
+    def test_scores_match_an_independent_lstsq(self, cohorts):
+        """The damped normal equations give lstsq's CV MAE, also where a
+        duplicated pair leaves the undamped Gram singular."""
+        for cohort, seed in cohorts:
+            result = backward_attribute_elimination(
+                cohort, epsilon=float("inf"), folds=5, seed=seed
+            )
+            for subset, score in scored_subsets(cohort, result):
+                assert score == pytest.approx(lstsq_cv_mae(cohort, subset, 5, seed), rel=1e-9)
+
+    def test_folds_are_built_once_per_run(self, monkeypatch):
+        calls = []
+        real = feature_selection._fold_slices
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(feature_selection, "_fold_slices", counted)
+        result = backward_attribute_elimination(
+            linear_cohort(seed=1, noise=0.3), epsilon=float("inf"), folds=5, seed=2
+        )
+        assert len(result.removed) == 2
+        assert len(calls) == 1
