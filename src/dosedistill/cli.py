@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -142,10 +143,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _job_count(text: str) -> int:
-    if not (text.strip().isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
-    return int(text)
+def _whole_number(least: int):
+    """An argparse type: a number written in digits, at least ``least``."""
+    def parse(text: str) -> int:
+        if not (text.strip().isdecimal() and int(text) >= least):
+            raise argparse.ArgumentTypeError(
+                f"must be a whole number of at least {least}, got {text!r}"
+            )
+        return int(text)
+    return parse
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -156,7 +162,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ratio", type=float, default=0.65,
                    help="training fraction of the split (default 0.65)")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_whole_number(0), default=0, help="master seed")
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--max-epochs", type=int, default=500)
@@ -166,7 +172,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    help="imitation-weight grid, start:stop:step or comma list")
     p.add_argument("--privileged-inputs", default="all_features",
                    choices=[m.value for m in PrivilegedInputs])
-    p.add_argument("--jobs", type=_job_count, default=_usable_cpus(),
+    p.add_argument("--jobs", type=_whole_number(1), default=None,
                    help="worker processes that sweep profiles side by side, at most "
                    "one per profile; outputs do not depend on it "
                    "(default: the usable CPUs)")
@@ -431,9 +437,7 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
 
 
 def _cmd_predict(args) -> int:
-    catalog, standardizer, bundles, config = serialize.pack_from_obj(
-        serialize.load_json(args.model)
-    )
+    catalog, standardizer, bundles, config = serialize.load_pack(args.model)
     disclosure = _parse_disclosure(args.disclose, catalog, standardizer)
     by_profile = {b.profile.name: b for b in bundles}
     try:
@@ -475,6 +479,7 @@ def _cmd_predict(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache  # one per process: parsing leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dosedistill",
@@ -486,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_whole_number(0), default=0)
     p.add_argument("--n", type=int, default=1200)
     p.add_argument("--demographic", type=int, default=4)
     p.add_argument("--background", type=int, default=6)
@@ -513,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max tolerated CV-MAE degradation per removal")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--ratio", type=float, default=0.65)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_whole_number(0), default=0)
     p.add_argument("--no-protect-genotypic", action="store_true",
                    help="allow genotypic features to be eliminated")
     p.set_defaults(func=_cmd_select_features)
@@ -563,6 +568,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) is None:  # --jobs's default, read per call
+            args.jobs = _usable_cpus()
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -200,18 +200,29 @@ class Cohort:
         )
 
 
-def load_json(path: str | Path) -> Any:
-    """A UTF-8 JSON file's value; an unreadable file is a DataError naming it."""
+def load_text(path: str | Path) -> str:
+    """A UTF-8 file's text; an unreadable file is a DataError naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"file not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
+
+
+def parse_json(text: str, path: str | Path) -> Any:
+    """The value of ``text``, read from ``path``; bad JSON is a DataError naming it."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
+
+
+def load_json(path: str | Path) -> Any:
+    """A UTF-8 JSON file's value; an unreadable file is a DataError naming it."""
+    return parse_json(load_text(path), path)
 
 
 def save_json(path: str | Path, obj: Any) -> None:

@@ -12,12 +12,14 @@ import base64
 import hashlib
 import json
 from dataclasses import asdict
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .dataset import Feature, FeatureCatalog, FeatureCategory, StandardizationParams
 from .dataset import load_json, save_json  # re-exported: callers use serialize's names
+from .dataset import load_text, parse_json
 from .distillation import DistillationConfig, DistilledBundle, PrivilegedInputs
 from .errors import DataError
 from .evaluation import EvalReport, SafetyPartition
@@ -36,8 +38,9 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(obj: dict) -> np.ndarray:
+    """A read-only array: a decoded pack may be shared by every later load."""
     raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
 
 
 def encode_scalar(v: float) -> str:
@@ -221,7 +224,7 @@ def pack_from_obj(obj: dict):
         parts = (
             catalog_from_obj(obj["catalog"]),
             standardizer_from_obj(obj["standardizer"]),
-            [bundle_from_obj(b) for b in obj["bundles"]],
+            tuple(bundle_from_obj(b) for b in obj["bundles"]),
             config,
         )
         canonical = pack_to_obj(*parts) == obj
@@ -230,3 +233,18 @@ def pack_from_obj(obj: dict):
     if not canonical:
         raise DataError("malformed model pack: it is not what its decoded parts encode to")
     return parts
+
+
+_last_pack: tuple[str, tuple] | None = None  # (text, decode) of the last pack loaded
+
+
+def load_pack(path: str | Path):
+    """``pack_from_obj`` of the pack file at ``path``. The last pack's decode is
+    kept, keyed by the file's exact text, so only text seen before is served
+    without being decoded and checked again."""
+    global _last_pack
+    text = load_text(path)
+    last = _last_pack  # one read: another thread may replace it meanwhile
+    if last is None or last[0] != text:
+        last = _last_pack = (text, pack_from_obj(parse_json(text, path)))
+    return last[1]

@@ -22,7 +22,7 @@ from dosedistill.distillation import DistillationConfig
 from dosedistill.errors import DataError, TrainingDivergedError
 from dosedistill.models import MlpModel, TrainConfig
 from dosedistill.profiles import Disclosure, train_on_demand
-from dosedistill.serialize import pack_from_obj, pack_to_obj, save_json
+from dosedistill.serialize import load_pack, pack_from_obj, pack_to_obj, save_json
 
 FAST = [
     "--max-epochs", "25", "--patience", "5", "--jobs", "1",
@@ -103,6 +103,21 @@ class TestSynthPrepare:
         with pytest.raises(SystemExit) as err:
             run_command(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command", ["synth", "select-features", "train", "sweep", "evaluate"]
+    )
+    def test_negative_seed_is_usage_error_naming_it(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--seed", "-1"]
+        if command != "synth":
+            argv += ["--data", "d.csv", "--schema", "s.json"]
+        with pytest.raises(SystemExit) as err:
+            run_command(argv)
+        assert err.value.code == 2
+        assert ("argument --seed: must be a whole number of at least 0, got '-1'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path, capsys):
         data, schema = synth(tmp_path)
@@ -199,6 +214,44 @@ class TestSynthPrepare:
         assert code == 2
         assert "strictly ascending" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+
+class TestOneParserPerProcess:
+    """``build_parser`` runs once per process; no call may see another's state."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["predict", "--model", "pack.json"], 2),
+        (["train", "--jobs", "0"], 2),
+        (["--help"], 0),
+        (["predict", "--help"], 0),
+    ])
+    def test_usage_and_help_are_the_same_each_time(self, capsys, argv, code):
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                run_command(argv)
+            assert err.value.code == code
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        assert "usage: dosedistill" in printed[0].out + printed[0].err
+
+    def test_an_option_given_once_is_not_kept(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(args):
+            seen.append(args.profile)
+            raise DataError("stopped before fitting")
+
+        monkeypatch.setattr(cli, "_fit_profiles", stop)
+        for extra in (["--profile", "Public patient"], []):
+            assert run_command([
+                "train", "--data", "d.csv", "--schema", "s.json",
+                "--out", str(tmp_path / "m"), *extra,
+            ]) == 3
+        assert seen == [["Public patient"], None]
 
 
 class TestProfilesList:
@@ -325,6 +378,20 @@ class TestTrainPredict:
         assert err.value.code == 2
         assert "--jobs: must be a whole number of at least 1" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
+
+    def test_default_jobs_is_read_on_each_call(self, tmp_path, monkeypatch):
+        """The parser is built once per process, so it must not freeze the
+        usable CPUs of its first call into ``--jobs``."""
+        data, schema = synth(tmp_path)
+        for cpus in (3, 1):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus-{cpus}"
+            assert run_command([
+                "train", "--data", str(data), "--schema", str(schema), "--out", str(out),
+                "--profile", "Public patient", "--grid", "0",
+                "--max-epochs", "1", "--patience", "0",
+            ]) == 0
+            assert json.loads((out / "run_config.json").read_text())["jobs"] == cpus
 
     def test_huge_jobs_is_capped_at_the_profile_count(self, tmp_path, pool_sizes):
         data, schema = synth(tmp_path)
@@ -543,6 +610,32 @@ class TestDisclosureValues:
         pack.write_text(json.dumps(obj))
         assert self.predict(pack, ",".join(f"{k}={v}" for k, v in row.items())) == 3
         assert "malformed model pack" in capsys.readouterr().err
+
+    def test_an_edited_pack_is_checked_again(self, pack_and_row, capsys):
+        """A process keeps the last pack's decode by the file's exact text: an
+        edit under the old digest is refused, and the restored bytes serve
+        the same dose again."""
+        pack, row = pack_and_row
+        pairs = ",".join(f"{k}={v}" for k, v in row.items())
+        original = pack.read_bytes()
+        assert self.predict(pack, pairs) == 0
+        dose = capsys.readouterr().out
+        assert "predicted weekly dose" in dose
+        obj = json.loads(original)
+        distilled = obj["bundles"][0]["distilled"]
+        distilled["b2"] = (float.fromhex(distilled["b2"]) + 1.0).hex()
+        save_json(pack, obj)
+        assert self.predict(pack, pairs) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed model pack" in captured.err
+        pack.write_bytes(original)
+        assert self.predict(pack, pairs) == 0
+        assert capsys.readouterr().out == dose
+        _, standardizer, bundles, _ = load_pack(pack)
+        assert isinstance(bundles, tuple)
+        for array in (standardizer.means, bundles[0].distilled.W1):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """Pack round trips and format guards."""
 
 import copy
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,9 +19,11 @@ from dosedistill.serialize import (
     config_digest,
     decode_array,
     encode_array,
+    load_pack,
     model_from_obj,
     pack_from_obj,
     pack_to_obj,
+    save_json,
 )
 from dosedistill.synthetic import SyntheticSpec
 
@@ -139,3 +143,35 @@ def test_pack_with_an_out_of_range_recipe_is_data_error(trained, ratio):
     obj["digest"] = config_digest(obj)
     with pytest.raises(DataError, match="malformed model pack"):
         pack_from_obj(obj)
+
+
+def test_load_pack_gives_each_thread_the_decode_of_the_file_it_read(trained, tmp_path):
+    """Threads alternating two packs share one kept decode; none may be
+    served the other file's decode when the kept one is replaced under it."""
+    catalog, train, bundle, config = trained
+    packs = []
+    for ratio in (0.6, 0.7):
+        path = tmp_path / f"pack-{ratio}.json"
+        recipe = replace(config, split_ratio=ratio)
+        save_json(path, pack_to_obj(catalog, train.standardizer, [bundle], recipe))
+        packs.append((path, ratio))
+    wrong = []
+
+    def alternate(start):
+        for i in range(start, start + 100):
+            path, ratio = packs[i % 2]
+            if load_pack(path)[3].split_ratio != ratio:
+                wrong.append(path.name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=alternate, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
