@@ -26,6 +26,8 @@ from .dataset import (
     _parse_schema,
     cohort_to_csv,
     load_and_validate,
+    load_text,
+    parse_and_validate,
     split_cohorts,
     standardize,
     write_csv,
@@ -436,10 +438,51 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
     return Disclosure(frozenset(values), values)
 
 
+# ((data text, schema text, recipe), catalog, (train, valid), teachers,
+# {disclosed set: bundle}) of the last on-demand training data seen
+_last_on_demand: tuple | None = None
+
+
+def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config) -> tuple:
+    """``_last_on_demand`` as it stands once ``disclosure``'s bundle is in it.
+
+    The bundle is trained as the pack's profiles were: its split, grid and
+    privileged mode. It depends only on the disclosed set, the texts of
+    ``--data`` and ``--schema`` and the pack's recipe, so the last texts and
+    recipe are kept with their split, their teachers and every set trained
+    on them, and any other text or recipe starts afresh. The data is checked
+    against the pack on every call.
+    """
+    data_path, schema_path = Path(args.data), Path(args.schema)
+    schema_text = load_text(schema_path)
+    # checked before the data is read, so its errors come first, as in
+    # load_and_validate
+    schema = _parse_schema(schema_path, schema_text)
+    key = (load_text(data_path, "data file"), schema_text, config)
+    last = _last_on_demand  # one read: another thread may replace it meanwhile
+    if last is None or last[0] != key:
+        data_catalog, records = parse_and_validate(schema, key[0], data_path)
+        last = (key, data_catalog, config.split(records, data_catalog), {}, {})
+    key, data_catalog, (train, valid), teachers, bundles = last
+    if not (
+        data_catalog == catalog
+        and np.array_equal(train.standardizer.means, standardizer.means)
+        and np.array_equal(train.standardizer.stds, standardizer.stds)
+    ):
+        raise DataError("--data is not the data this model pack was trained on")
+    if disclosure.disclosed not in bundles:
+        teachers = dict(teachers)  # a failed training leaves the kept ones as they were
+        bundle = train_on_demand(train, valid, disclosure, config, teachers)
+        bundles = bundles | {disclosure.disclosed: bundle}
+    return key, data_catalog, (train, valid), teachers, bundles
+
+
 def _cmd_predict(args) -> int:
+    global _last_on_demand
     catalog, standardizer, bundles, config = serialize.load_pack(args.model)
     disclosure = _parse_disclosure(args.disclose, catalog, standardizer)
     by_profile = {b.profile.name: b for b in bundles}
+    on_demand = None
     try:
         profile, exact = best_feasible([b.profile for b in bundles], disclosure)
         bundle = by_profile[profile.name]
@@ -449,16 +492,8 @@ def _cmd_predict(args) -> int:
                 "no stored profile fits this disclosure; re-run with --data/--schema "
                 "to train one on demand"
             ) from None
-        # train as the pack's profiles were: its split, grid and privileged mode
-        data_catalog, records = load_and_validate(args.data, args.schema)
-        train, valid = config.split(records, data_catalog)
-        if not (
-            data_catalog == catalog
-            and np.array_equal(train.standardizer.means, standardizer.means)
-            and np.array_equal(train.standardizer.stds, standardizer.stds)
-        ):
-            raise DataError("--data is not the data this model pack was trained on")
-        bundle = train_on_demand(train, valid, disclosure, config)
+        on_demand = _on_demand(args, disclosure, catalog, standardizer, config)
+        bundle = on_demand[-1][disclosure.disclosed]
         profile, exact = bundle.profile, True
 
     x_visible = [disclosure.values[i] for i in profile.visible_features]
@@ -470,6 +505,8 @@ def _cmd_predict(args) -> int:
         raise NumericError(
             f"profile {profile.name!r} predicts a non-positive dose ({dose:.2f} mg/week)"
         )
+    if on_demand is not None:  # kept only by a call that succeeds
+        _last_on_demand = on_demand
     match = "exact match" if exact else "fallback: closest feasible profile"
     print(f"profile: {profile.name} ({match})")
     print(f"predicted weekly dose: {dose:.2f} mg/week")

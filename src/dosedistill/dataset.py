@@ -28,6 +28,8 @@ import csv
 import json
 import logging
 import math
+import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -200,12 +202,14 @@ class Cohort:
         )
 
 
-def load_text(path: str | Path) -> str:
-    """A UTF-8 file's text; an unreadable file is a DataError naming it."""
+def load_text(path: str | Path, what: str = "file") -> str:
+    """A UTF-8 file's exact text, line ends as written; an unreadable file is a
+    DataError naming it, and a missing one says ``{what} not found``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
     except FileNotFoundError:
-        raise DataError(f"file not found: {path}") from None
+        raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -246,9 +250,11 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _parse_schema(schema_path: str | Path) -> dict:
+def _parse_schema(schema_path: str | Path, text: str | None = None) -> dict:
+    """The checked schema at ``schema_path``, parsed from ``text`` if it has
+    been read already."""
     path = Path(schema_path)
-    schema = load_json(path)
+    schema = parse_json(load_text(path) if text is None else text, path)
     if not isinstance(schema, dict) or not isinstance(schema.get("target"), str):
         raise DataError(f"schema {path}: missing string key 'target'")
     feats = schema.get("features")
@@ -295,7 +301,34 @@ def load_and_validate(
     maps are built from the labels observed in surviving rows, in sorted
     label order, and are closed afterwards.
     """
-    schema = _parse_schema(schema_path)
+    path = Path(data_path)
+    return _read_rows(
+        _parse_schema(schema_path), path, lambda: path.open(newline="", encoding="utf-8")
+    )
+
+
+# one line as a file opened with newline="" yields it: up to and including
+# "\n", "\r\n" or "\r", or the last characters
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def parse_and_validate(
+    schema: dict, data_text: str, data_path: str | Path
+) -> tuple[FeatureCatalog, EncodedRows]:
+    """``load_and_validate`` of a schema checked by ``_parse_schema`` and the
+    text already read from ``data_path``: the same catalog and rows, and the
+    same errors, naming the same path, row and column. The text is split into
+    lines one at a time, so no second copy of it is made."""
+    return _read_rows(
+        schema,
+        Path(data_path),
+        lambda: nullcontext(match.group() for match in _LINE.finditer(data_text)),
+    )
+
+
+def _read_rows(schema: dict, path: Path, open_lines) -> tuple[FeatureCatalog, EncodedRows]:
+    """The catalog and rows of the CSV that ``open_lines()`` opens, read from
+    ``path`` against ``schema``; ``load_and_validate`` states the rules."""
     target_col = schema["target"]
     id_col = schema.get("id")
     dose_scale = 7.0 if schema.get("target_unit", "weekly") == "daily" else 1.0
@@ -304,7 +337,6 @@ def load_and_validate(
     if target_col in feature_names:
         raise DataError(f"target column {target_col!r} also declared as a feature")
 
-    path = Path(data_path)
     expected = set(feature_names) | {target_col} | ({id_col} if id_col else set())
     ids: list[str] = []
     ys: list[float] = []
@@ -312,7 +344,7 @@ def load_and_validate(
     dropped_target = 0
     dropped_missing = 0
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with open_lines() as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:

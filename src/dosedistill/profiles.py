@@ -162,11 +162,14 @@ def train_on_demand(
     valid: Cohort,
     disclosure: Disclosure,
     config: "DistillationConfig",
+    teachers: dict | None = None,
 ) -> "DistilledBundle":
     """Build a bundle for a disclosure no stored profile serves.
 
     The new profile redacts exactly the complement of the disclosed set; its
     imitation weight is picked on ``valid`` from ``config``'s grid.
+    ``teachers`` is passed on to ``sweep_profiles``, so on-demand sets
+    trained on the same ``train`` and ``config`` can share their teachers.
     """
     from .distillation import sweep_profiles
 
@@ -179,5 +182,5 @@ def train_on_demand(
         ",".join(map(str, sorted(disclosure.disclosed))).encode()
     ).hexdigest()[:8]
     profile = Profile(f"custom-{digest}", frozenset(), redacted, d)
-    [(_, bundle)] = sweep_profiles(train, valid, [profile], config)
+    [(_, bundle)] = sweep_profiles(train, valid, [profile], config, teachers)
     return bundle

@@ -15,9 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dosedistill
-from dosedistill import cli, distillation
+from dosedistill import cli, distillation, models
 from dosedistill.cli import _parse_disclosure, run_command
-from dosedistill.dataset import load_and_validate, split_cohorts, standardize
+from dosedistill.dataset import (
+    _parse_schema,
+    load_and_validate,
+    load_text,
+    parse_and_validate,
+    split_cohorts,
+    standardize,
+)
 from dosedistill.distillation import DistillationConfig
 from dosedistill.errors import DataError, TrainingDivergedError
 from dosedistill.models import MlpModel, TrainConfig
@@ -402,6 +409,23 @@ class TestTrainPredict:
         ]) == 0
         assert pool_sizes == [3]
 
+    def test_a_finite_divergence_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        """At a learning rate of 1e9 every loss stays finite, but the models
+        end orders of magnitude worse than a constant dose."""
+        out = tmp_path / "data"
+        assert run_command(["synth", "--out", str(out), "--seed", "5"]) == 0
+        capsys.readouterr()
+        code = run_command([
+            "train", "--data", str(out / "data.csv"), "--schema", str(out / "schema.json"),
+            "--out", str(tmp_path / "m"), "--learning-rate", "1e9", "--seed", "5",
+            "--jobs", "1",
+        ])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: training diverged: ")
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stand-in reaches the workers only through fork")
     def test_divergence_in_a_worker_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -529,6 +553,205 @@ class TestTrainPredict:
             "--disclose", "demographic_0=MARTIAN",
         ])
         assert code == 3
+
+
+class TestOnDemandMemo:
+    """A process keeps the last on-demand training data: its split, its
+    teachers and every set trained on it, keyed by the exact texts of
+    ``--data`` and ``--schema`` and the pack's recipe."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Count ``train_on_demand`` calls and the size of every stack trained
+        (a teacher is a stack of one; the grid below has two points)."""
+        monkeypatch.setattr(cli, "_last_on_demand", None)
+        seen = {"on_demand": 0, "stacks": []}
+        on_demand, stack = cli.train_on_demand, models.train_mlp_stack
+
+        def counted_on_demand(*args, **kwargs):
+            seen["on_demand"] += 1
+            return on_demand(*args, **kwargs)
+
+        def counted_stack(X, targets, config):
+            seen["stacks"].append(len(targets))
+            return stack(X, targets, config)
+
+        monkeypatch.setattr(cli, "train_on_demand", counted_on_demand)
+        monkeypatch.setattr(models, "train_mlp_stack", counted_stack)
+        monkeypatch.setattr(distillation, "train_mlp_stack", counted_stack)
+        return seen
+
+    def train(self, capsys, fits, tmp_path, data, schema, *extra):
+        """A public-only pack; its stacks are not counted."""
+        out = tmp_path / "m"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema), "--out", str(out),
+            "--profile", "public", "--grid", "0,1", *FAST, *extra,
+        ]) == 0
+        capsys.readouterr()
+        fits["stacks"].clear()
+        return out / "pack.json"
+
+    def predict(self, capsys, pack, data, schema, columns):
+        header, first = read_rows(data)[:2]
+        row = dict(zip(header, first))
+        code = run_command([
+            "predict", "--model", str(pack), "--disclose",
+            ",".join(f"{c}={row[c]}" for c in columns),
+            "--data", str(data), "--schema", str(schema),
+        ])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_a_set_that_comes_back_is_not_trained_again(self, tmp_path, capsys, fits):
+        data, schema = synth(tmp_path)
+        pack = self.train(capsys, fits, tmp_path, data, schema)
+        columns = ["demographic_1", "background_1"]
+        first = self.predict(capsys, pack, data, schema, columns)
+        assert first[0] == 0 and "custom-" in first[1]
+        assert fits["on_demand"] == 1
+        assert self.predict(capsys, pack, data, schema, columns) == first
+        assert fits["on_demand"] == 1
+
+        src = str(Path(dosedistill.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        row = dict(zip(*read_rows(data)[:2]))
+        cold = subprocess.run([
+            sys.executable, "-m", "dosedistill.cli", "predict", "--model", str(pack),
+            "--disclose", ",".join(f"{c}={row[c]}" for c in columns),
+            "--data", str(data), "--schema", str(schema),
+        ], env=env, capture_output=True, text=True)
+        assert (cold.returncode, cold.stdout) == (0, first[1])
+
+    @pytest.mark.parametrize("mode, teachers", [
+        ("all_features", 1), ("redacted_only", 2),
+    ])
+    def test_on_demand_sets_share_their_teachers(
+        self, tmp_path, capsys, fits, mode, teachers
+    ):
+        data, schema = synth(tmp_path)
+        pack = self.train(
+            capsys, fits, tmp_path, data, schema, "--privileged-inputs", mode
+        )
+        sets = (["demographic_1"], ["demographic_1", "background_1"])
+        printed = [self.predict(capsys, pack, data, schema, cols) for cols in sets]
+        printed += [self.predict(capsys, pack, data, schema, cols) for cols in sets]
+        assert all(code == 0 for code, _, _ in printed)
+        assert printed[:2] == printed[2:]
+        assert fits["on_demand"] == 2
+        assert sorted(fits["stacks"]) == [1] * teachers + [2, 2]
+
+    @pytest.mark.parametrize("change", ["data", "schema", "recipe"])
+    def test_other_texts_or_another_recipe_train_afresh(
+        self, tmp_path, capsys, fits, change
+    ):
+        data, schema = synth(tmp_path)
+        pack = self.train(capsys, fits, tmp_path, data, schema)
+        columns = ["demographic_1"]
+        first = self.predict(capsys, pack, data, schema, columns)
+        assert first[0] == 0 and fits["on_demand"] == 1
+        if change == "data":  # a patient id: the rows read the same
+            data.write_bytes(data.read_bytes().replace(b"p00000", b"q00000", 1))
+        elif change == "schema":  # JSON whitespace: the schema reads the same
+            schema.write_bytes(schema.read_bytes().replace(b" ", b"\t", 1))
+        else:
+            pack = self.train(
+                capsys, fits, tmp_path / "seed-1", data, schema, "--seed", "1"
+            )
+            fresh = self.predict(capsys, pack, data, schema, columns)
+            assert fresh[0] == 0 and fits["on_demand"] == 2
+            return
+        assert self.predict(capsys, pack, data, schema, columns) == first
+        assert fits["on_demand"] == 2
+
+    def test_another_pack_is_refused_with_the_memo_warm(self, tmp_path, capsys, fits):
+        data, schema = synth(tmp_path)
+        pack = self.train(capsys, fits, tmp_path, data, schema)
+        assert self.predict(capsys, pack, data, schema, ["demographic_1"])[0] == 0
+        other, other_schema = synth(tmp_path / "other", seed=8)
+        other_pack = self.train(capsys, fits, tmp_path / "other", other, other_schema)
+        code, out, err = self.predict(capsys, other_pack, data, schema, ["demographic_1"])
+        assert code == 3 and out == ""
+        assert "not the data this model pack was trained on" in err
+        assert fits["on_demand"] == 1
+        assert self.predict(capsys, pack, data, schema, ["demographic_1"])[0] == 0
+        assert fits["on_demand"] == 1
+
+
+LOADER_SCHEMA = """{
+  "target": "weekly_dose_mg",
+  "features": [
+    {"name": "weight", "category": "background", "kind": "numeric"},
+    {"name": "race", "category": "demographic", "kind": "categorical"}
+  ]
+}"""
+
+
+class TestOnDemandLoader:
+    """The on-demand path parses the texts it read, with ``load_and_validate``'s
+    rules and errors."""
+
+    @pytest.mark.parametrize("body", [
+        b"weight,race,weekly_dose_mg\n70,A\n",  # short row: no usable rows
+        b"weight,race,weekly_dose_mg\n70,A,30\nheavy,B,40\n",
+        b"weight,race,weekly_dose_mg\n70,A,30\n80,B,0\n",
+        b"weight,race,extra,weekly_dose_mg\n70,A,1,30\n",
+        b"weight,weekly_dose_mg\n70,30\n",
+        b"weight,race,weekly_dose_mg\n70,\xe9,30\n",
+        b"",
+        None,  # missing file
+    ])
+    def test_bad_csv_is_the_same_data_error(
+        self, tmp_path, capsys, monkeypatch, public_pack, body
+    ):
+        monkeypatch.setattr(cli, "_last_on_demand", None)
+        data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+        schema.write_text(LOADER_SCHEMA)
+        if body is not None:
+            data.write_bytes(body)
+        with pytest.raises(DataError) as loaded:
+            load_and_validate(data, schema)
+        assert run_command([
+            "predict", "--model", str(public_pack), "--disclose", "demographic_1=0.3",
+            "--data", str(data), "--schema", str(schema),
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {loaded.value}\n"
+        assert cli._last_on_demand is None
+
+    @pytest.mark.parametrize("schema_text", ["{not json", '{"features": []}'])
+    @pytest.mark.parametrize("body", [None, b"weight,race,weekly_dose_mg\n70,\xe9,30\n"])
+    def test_a_bad_schema_is_reported_before_bad_data(
+        self, tmp_path, capsys, monkeypatch, public_pack, schema_text, body
+    ):
+        monkeypatch.setattr(cli, "_last_on_demand", None)
+        data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+        schema.write_text(schema_text)
+        if body is not None:
+            data.write_bytes(body)
+        with pytest.raises(DataError) as loaded:
+            load_and_validate(data, schema)
+        assert str(schema) in str(loaded.value)
+        assert run_command([
+            "predict", "--model", str(public_pack), "--disclose", "demographic_1=0.3",
+            "--data", str(data), "--schema", str(schema),
+        ]) == 3
+        assert capsys.readouterr().err == f"error: {loaded.value}\n"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_parse_and_validate_reads_as_load_and_validate(self, tmp_path, end):
+        data, schema = synth(tmp_path)
+        # CRLF or CR line ends, and a label with one inside its quotes: the
+        # text is parsed as written, line ends untranslated
+        text = data.read_text().replace("\n", end).replace(",A,", f',"A{end}B",', 1)
+        data.write_bytes(text.encode())
+        loaded = load_and_validate(data, schema)
+        parsed = parse_and_validate(_parse_schema(schema), load_text(data), data)
+        assert parsed[0] == loaded[0]
+        for a, b in zip(parsed[1].__dict__.values(), loaded[1].__dict__.values()):
+            assert np.array_equal(a, b)
 
 
 class TestDisclosureValues:

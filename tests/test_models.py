@@ -1,6 +1,7 @@
 """Linear least squares, MLP forward/backward, Adam training."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,6 +267,15 @@ class TestStack:
                 train_mlp_stack(
                     X, T, TrainConfig(learning_rate=1e300, max_epochs=5, patience=1)
                 )
+
+    def test_a_finite_divergence_raises(self):
+        """A member that ends far worse than predicting its mean has diverged,
+        even though every loss it saw was finite."""
+        X, T = stopping_targets()
+        cfg = TrainConfig(seed=4, max_epochs=60, patience=3)
+        assert len(train_mlp_stack(X, T, cfg)) == len(T)
+        with pytest.raises(TrainingDivergedError, match="over 10 times .* constant"):
+            train_mlp_stack(X, T, replace(cfg, learning_rate=1e9))
 
     def test_targets_must_be_one_row_per_member(self):
         X, T = stopping_targets()
