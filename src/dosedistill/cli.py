@@ -156,6 +156,16 @@ def _whole_number(least: int):
     return parse
 
 
+def _fraction(text: str) -> float:
+    """An argparse type: a number strictly between 0 and 1."""
+    try:
+        if 0 < (value := float(text)) < 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+
+
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--schema", required=True, help="sidecar schema JSON")
@@ -553,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--epsilon", type=float, default=0.05,
                    help="max tolerated CV-MAE degradation per removal")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--ratio", type=float, default=0.65)
+    p.add_argument("--folds", type=_whole_number(2), default=5)
+    p.add_argument("--ratio", type=_fraction, default=0.65)
     p.add_argument("--seed", type=_whole_number(0), default=0)
     p.add_argument("--no-protect-genotypic", action="store_true",
                    help="allow genotypic features to be eliminated")

@@ -397,6 +397,9 @@ def _read_rows(schema: dict, path: Path, open_lines) -> tuple[FeatureCatalog, En
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
+        # a streaming decoder counts the position from the start of its chunk;
+        # a whole read names the byte's position in the file
+        load_text(path)
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
 
     if dropped_target or dropped_missing:

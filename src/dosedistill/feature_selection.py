@@ -7,14 +7,15 @@ and stops when even the best removal degrades the current score by more than
 ``protected`` so they never become removal candidates.
 
 A run builds each fold's normal equations of ``[X, 1]`` once, over every
-feature. Any subset is then scored from their sub-block: one small damped
-solve per fold, and the held-out predictions on the subset's columns.
+feature, and gathers the fold's held-out rows and doses once. Any subset is
+then scored from those: one small damped solve per fold on the sub-block,
+and the held-out predictions on the subset's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,12 +60,19 @@ def _fold_slices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(perm, folds)
 
 
-_FoldStats = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+class _Fold(NamedTuple):
+    """One fold: its held-out row indices, their features and doses, and the
+    Gram matrix of ``[X, 1]`` and ``[X, 1]ᵀy`` over the other rows, the
+    intercept last."""
+
+    rows: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    gram: np.ndarray
+    rhs: np.ndarray
 
 
-def _fold_stats(train: Cohort, folds: int, seed: int) -> _FoldStats:
-    """Per fold: its held-out rows, and the Gram matrix of ``[X, 1]`` and
-    ``[X, 1]ᵀy`` over the other rows, the intercept last."""
+def _fold_stats(train: Cohort, folds: int, seed: int) -> list[_Fold]:
     X, y = train.X, train.y
     d = X.shape[1]
     stats = []
@@ -76,17 +84,18 @@ def _fold_stats(train: Cohort, folds: int, seed: int) -> _FoldStats:
         gram[:d, :d] = Xt.T @ Xt
         gram[:d, d] = gram[d, :d] = Xt.sum(axis=0)
         gram[d, d] = len(yt)
-        stats.append((fold, gram, np.append(Xt.T @ yt, yt.sum())))
+        rhs = np.append(Xt.T @ yt, yt.sum())
+        stats.append(_Fold(fold, X[fold], y[fold], gram, rhs))
     return stats
 
 
-def _score(train: Cohort, stats: _FoldStats, subset: list[int]) -> float:
+def _score(train: Cohort, stats: list[_Fold], subset: list[int]) -> float:
     cols = [*subset, train.X.shape[1]]
     abs_errors = np.empty(len(train))
-    for fold, gram, rhs in stats:
-        model = solve_normal_equations(gram[np.ix_(cols, cols)], rhs[cols])
-        preds = model.predict(train.X[fold][:, subset])
-        abs_errors[fold] = np.abs(preds - train.y[fold])
+    for fold in stats:
+        model = solve_normal_equations(fold.gram[np.ix_(cols, cols)], fold.rhs[cols])
+        preds = model.predict(fold.X[:, subset])
+        abs_errors[fold.rows] = np.abs(preds - fold.y)
     return float(abs_errors.mean())
 
 
@@ -98,8 +107,9 @@ def subset_score(
 ) -> float:
     """k-fold cross-validated MAE of least squares on the given columns.
 
-    Builds the folds' normal equations on every call, where an elimination
-    run builds them once and scores all its subsets from them.
+    Builds the folds' normal equations and gathers their held-out rows on
+    every call, where an elimination run does both once and scores all its
+    subsets from them.
     """
     subset = sorted(feature_subset)
     if not subset:

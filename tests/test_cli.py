@@ -324,6 +324,25 @@ class TestSelectFeatures:
         assert "usage error: epsilon must be a number" in capsys.readouterr().err
         assert not (out / "bae.json").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--folds", "1"), ("--folds", "0"), ("--folds", "2.5"),
+        ("--ratio", "0"), ("--ratio", "1"), ("--ratio", "-0.5"), ("--ratio", "1.5"),
+        ("--ratio", "nan"), ("--ratio", "inf"), ("--ratio", "half"),
+    ])
+    def test_bad_folds_or_ratio_is_refused_before_the_data_is_read(
+        self, tmp_path, capsys, option, value
+    ):
+        # the data file does not exist: reading it would exit 3
+        out = tmp_path / "bae"
+        with pytest.raises(SystemExit) as err:
+            run_command([
+                "select-features", "--data", str(tmp_path / "nope.csv"),
+                "--schema", str(tmp_path / "nope.json"), "--out", str(out), option, value,
+            ])
+        assert err.value.code == 2
+        assert f"argument {option}: must be " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainPredict:
     def test_zero_epochs_is_usage_error(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from dosedistill.dataset import (
     FeatureCategory,
     StandardizationParams,
     load_and_validate,
+    load_text,
     split_cohorts,
     standardize,
 )
@@ -110,6 +111,19 @@ class TestLoad:
         )
         with pytest.raises(DataError, match=r"row 2.*non-finite"):
             load_and_validate(data, schema)
+
+    def test_bad_utf8_past_the_first_chunk_names_its_file_position(self, tmp_path):
+        """The streamed read names the byte's position in the file, as
+        ``load_text`` does, not its position in the decoder's chunk."""
+        head = "weight,race,weekly_dose_mg\n" + "70,A,30\n" * 2250
+        data, schema = write_files(tmp_path, "", BASIC_SCHEMA)
+        data.write_bytes(head.encode() + b"80,\xe9,40\n")
+        with pytest.raises(DataError) as loaded:
+            load_and_validate(data, schema)
+        with pytest.raises(DataError) as read:
+            load_text(data)
+        assert str(loaded.value) == str(read.value)
+        assert f"position {len(head) + 3}" in str(loaded.value)
 
     def test_missing_target_rows_dropped(self, tmp_path):
         data, schema = write_files(

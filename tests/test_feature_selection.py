@@ -245,3 +245,19 @@ class TestBackwardElimination:
         )
         assert len(result.removed) == 2
         assert len(calls) == 1
+
+
+class TestFoldStats:
+    def test_held_out_blocks_cover_every_row_once(self, cohorts):
+        for cohort, seed in cohorts:
+            stats = feature_selection._fold_stats(cohort, 5, seed)
+            rows = np.concatenate([fold.rows for fold in stats])
+            assert np.array_equal(np.sort(rows), np.arange(len(cohort)))
+
+    def test_held_out_blocks_are_the_gathered_rows(self, cohorts):
+        for cohort, seed in cohorts:
+            for fold in feature_selection._fold_stats(cohort, 5, seed):
+                assert np.array_equal(fold.X, cohort.X[fold.rows])
+                assert np.array_equal(fold.y, cohort.y[fold.rows])
+                # the layout a fresh gather has, so the products keep their bits
+                assert fold.X.flags.c_contiguous
