@@ -26,6 +26,7 @@ from .dataset import (
     _parse_schema,
     cohort_to_csv,
     load_and_validate,
+    load_bytes,
     load_text,
     parse_and_validate,
     split_cohorts,
@@ -166,6 +167,16 @@ def _fraction(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
 
 
+def _number(text: str) -> float:
+    """An argparse type: a number, ``inf`` and ``-inf`` included, but not ``nan``."""
+    try:
+        if not math.isnan(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+
+
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--schema", required=True, help="sidecar schema JSON")
@@ -190,14 +201,9 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    "(default: the usable CPUs)")
 
 
-def _run_config_obj(args, command: str) -> dict:
-    skip = {"func"}
-    obj = {"command": command}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        obj[key] = value if not isinstance(value, Path) else str(value)
-    return obj
+def _run_config_obj(args) -> dict:
+    """The parsed arguments, ``command`` among them, as ``run_config.json``."""
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _layout_catalog(schema_path: str) -> FeatureCatalog:
@@ -236,7 +242,7 @@ def _cmd_synth(args) -> int:
     )
     columns, schema = generate_synthetic(spec, args.seed)
     write_dataset(columns, schema, _made(out) / "data.csv", out / "schema.json")
-    serialize.save_json(out / "run_config.json", _run_config_obj(args, "synth"))
+    serialize.save_json(out / "run_config.json", _run_config_obj(args))
     print(f"synth: wrote {spec.n} records (d={spec.d}) to {out}")
     return EXIT_OK
 
@@ -248,7 +254,7 @@ def _cmd_prepare(args) -> int:
         cohort_to_csv(cohort, args.dump_encoded)
     if args.out:
         out = _made(_out_dir(args))
-        serialize.save_json(out / "run_config.json", _run_config_obj(args, "prepare"))
+        serialize.save_json(out / "run_config.json", _run_config_obj(args))
     print(
         f"prepare: {len(records)} usable records, d={catalog.d}, "
         f"{sum(1 for f in catalog.features if f.kind == 'categorical')} categorical"
@@ -281,9 +287,7 @@ def _cmd_select_features(args) -> int:
         ],
     }
     serialize.save_json(_made(out) / "bae.json", obj)
-    serialize.save_json(
-        out / "run_config.json", _run_config_obj(args, "select-features")
-    )
+    serialize.save_json(out / "run_config.json", _run_config_obj(args))
     print(
         f"select-features: kept {len(result.kept)}/{catalog.d}, "
         f"removed {len(result.removed)}, report in {out / 'bae.json'}"
@@ -342,7 +346,7 @@ def _cmd_train(args) -> int:
         for b in bundles
     }
     serialize.save_json(out / "report.json", report_obj)
-    serialize.save_json(out / "run_config.json", _run_config_obj(args, "train"))
+    serialize.save_json(out / "run_config.json", _run_config_obj(args))
     summary = ", ".join(
         f"{b.profile.name}: mae {b.metrics.mae:.2f} @ lambda {b.lam:g}"
         for b in bundles
@@ -364,7 +368,7 @@ def _cmd_sweep(args) -> int:
         ),
     )
     serialize.save_json(out / "pack.json", pack)
-    serialize.save_json(out / "run_config.json", _run_config_obj(args, "sweep"))
+    serialize.save_json(out / "run_config.json", _run_config_obj(args))
     print(
         f"sweep: {len(points)} grid points over {len(bundles)} profile(s); "
         f"CSV in {out / 'sweep.csv'}"
@@ -409,7 +413,7 @@ def _cmd_evaluate(args) -> int:
          "under_std", "within_std", "over_std"],
         ([*key, *(arm[s][i] for i in (0, 1) for s in window)] for key, arm in stats.items()),
     )
-    serialize.save_json(out / "run_config.json", _run_config_obj(args, "evaluate"))
+    serialize.save_json(out / "run_config.json", _run_config_obj(args))
     print(
         f"evaluate: {args.runs} run(s) x {len(profiles)} profiles; "
         f"tables in {out / 'accuracy.csv'} and {out / 'safety.csv'}"
@@ -448,7 +452,7 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
     return Disclosure(frozenset(values), values)
 
 
-# ((data text, schema text, recipe), catalog, (train, valid), teachers,
+# ((data bytes, schema text, recipe), catalog, (train, valid), teachers,
 # {disclosed set: bundle}) of the last on-demand training data seen
 _last_on_demand: tuple | None = None
 
@@ -457,10 +461,10 @@ def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config) -> t
     """``_last_on_demand`` as it stands once ``disclosure``'s bundle is in it.
 
     The bundle is trained as the pack's profiles were: its split, grid and
-    privileged mode. It depends only on the disclosed set, the texts of
-    ``--data`` and ``--schema`` and the pack's recipe, so the last texts and
-    recipe are kept with their split, their teachers and every set trained
-    on them, and any other text or recipe starts afresh. The data is checked
+    privileged mode. It depends only on the disclosed set, the bytes of
+    ``--data``, the text of ``--schema`` and the pack's recipe, so the last
+    of these are kept with their split, their teachers and every set trained
+    on them, and any other file or recipe starts afresh. The data is checked
     against the pack on every call.
     """
     data_path, schema_path = Path(args.data), Path(args.schema)
@@ -468,7 +472,7 @@ def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config) -> t
     # checked before the data is read, so its errors come first, as in
     # load_and_validate
     schema = _parse_schema(schema_path, schema_text)
-    key = (load_text(data_path, "data file"), schema_text, config)
+    key = (load_bytes(data_path, "data file"), schema_text, config)
     last = _last_on_demand  # one read: another thread may replace it meanwhile
     if last is None or last[0] != key:
         data_catalog, records = parse_and_validate(schema, key[0], data_path)
@@ -561,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select-features", help="backward attribute elimination")
     _add_data_args(p)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--epsilon", type=float, default=0.05,
+    p.add_argument("--epsilon", type=_number, default=0.05,
                    help="max tolerated CV-MAE degradation per removal")
     p.add_argument("--folds", type=_whole_number(2), default=5)
     p.add_argument("--ratio", type=_fraction, default=0.65)

@@ -1,7 +1,8 @@
 """Patient dataset loading, validation, encoding, standardization, and splits.
 
 Every file the package reads or writes goes through this module, so it alone
-fixes the CSV dialect (``write_csv``) and the JSON layout (``save_json``).
+fixes the CSV dialect (``write_csv``, ``parse_and_validate``) and the JSON
+layout (``save_json``); ``load_bytes`` is its one read.
 
 The on-disk format is a plain CSV with a header row plus a sidecar schema
 JSON declaring, per column, the feature category and kind::
@@ -25,11 +26,10 @@ variance. Targets stay in natural dose units (mg/week).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
-import re
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -202,16 +202,24 @@ class Cohort:
         )
 
 
-def load_text(path: str | Path, what: str = "file") -> str:
-    """A UTF-8 file's exact text, line ends as written; an unreadable file is a
-    DataError naming it, and a missing one says ``{what} not found``."""
+def load_bytes(path: str | Path, what: str = "file") -> bytes:
+    """A file's exact bytes, the one read of every input file; an unreadable
+    file is a DataError naming it, and a missing one says ``{what} not found``."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            return handle.read()
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def load_text(path: str | Path) -> str:
+    """A UTF-8 file's exact text, line ends as written: ``load_bytes``
+    decoded, and bad UTF-8 is a DataError naming the first bad byte's
+    position in the file."""
+    data = load_bytes(path)
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
 
@@ -293,42 +301,27 @@ def _number(cell: str, path: Path, lineno: int, column: str) -> float:
 def load_and_validate(
     data_path: str | Path, schema_path: str | Path
 ) -> tuple[FeatureCatalog, EncodedRows]:
-    """Read a CSV against its schema manifest.
-
-    Rows with a missing target or missing feature values are dropped (the
-    counts are logged); a non-positive or unparseable cell is an error that
-    names the offending row and column. The catalog's categorical encoding
-    maps are built from the labels observed in surviving rows, in sorted
-    label order, and are closed afterwards.
-    """
+    """The catalog and rows of the CSV at ``data_path``, read against the
+    schema manifest at ``schema_path``; ``parse_and_validate`` states the rules."""
     path = Path(data_path)
-    return _read_rows(
-        _parse_schema(schema_path), path, lambda: path.open(newline="", encoding="utf-8")
-    )
-
-
-# one line as a file opened with newline="" yields it: up to and including
-# "\n", "\r\n" or "\r", or the last characters
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+    return parse_and_validate(_parse_schema(schema_path), load_bytes(path, "data file"), path)
 
 
 def parse_and_validate(
-    schema: dict, data_text: str, data_path: str | Path
+    schema: dict, data: bytes, data_path: str | Path
 ) -> tuple[FeatureCatalog, EncodedRows]:
-    """``load_and_validate`` of a schema checked by ``_parse_schema`` and the
-    text already read from ``data_path``: the same catalog and rows, and the
-    same errors, naming the same path, row and column. The text is split into
-    lines one at a time, so no second copy of it is made."""
-    return _read_rows(
-        schema,
-        Path(data_path),
-        lambda: nullcontext(match.group() for match in _LINE.finditer(data_text)),
-    )
+    """The catalog and rows of ``data``, the bytes of the CSV at ``data_path``,
+    read against a schema checked by ``_parse_schema``. Every CSV is parsed
+    here; errors name ``data_path`` and the offending row and column.
 
-
-def _read_rows(schema: dict, path: Path, open_lines) -> tuple[FeatureCatalog, EncodedRows]:
-    """The catalog and rows of the CSV that ``open_lines()`` opens, read from
-    ``path`` against ``schema``; ``load_and_validate`` states the rules."""
+    The bytes are decoded as they are parsed, with line ends as written, so no
+    decoded copy of the whole file is made. Rows with a missing target or
+    missing feature values are dropped (the counts are logged); a
+    non-positive or unparseable cell is an error. The catalog's categorical
+    encoding maps are built from the labels observed in surviving rows, in
+    sorted label order, and are closed afterwards.
+    """
+    path = Path(data_path)
     target_col = schema["target"]
     id_col = schema.get("id")
     dose_scale = 7.0 if schema.get("target_unit", "weekly") == "daily" else 1.0
@@ -344,62 +337,60 @@ def _read_rows(schema: dict, path: Path, open_lines) -> tuple[FeatureCatalog, En
     dropped_target = 0
     dropped_missing = 0
     try:
-        with open_lines() as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file (no header row)")
-            present = set(header)
-            unknown = sorted(present - expected)
-            if unknown:
-                raise DataError(f"{path}: unknown column(s) not in schema: {unknown}")
-            missing = sorted(expected - present)
-            if missing:
-                raise DataError(f"{path}: column(s) declared in schema but missing: {missing}")
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file (no header row)")
+        present = set(header)
+        unknown = sorted(present - expected)
+        if unknown:
+            raise DataError(f"{path}: unknown column(s) not in schema: {unknown}")
+        missing = sorted(expected - present)
+        if missing:
+            raise DataError(f"{path}: column(s) declared in schema but missing: {missing}")
 
-            # a repeated header name reads its last column, as csv.DictReader does
-            where = {name: i for i, name in enumerate(header)}
-            target_at = where[target_col]
-            id_at = where[id_col] if id_col else None
-            cells = [(name, where[name], kind == KIND_NUMERIC) for name, _, kind in declared]
-            blank = [""] * len(header)
-            lineno = 1
-            for row in reader:
-                if not row:  # blank lines are skipped and not counted
-                    continue
-                lineno += 1
-                if len(row) < len(header):  # a short row reads as blank cells
-                    row += blank[len(row):]
-                raw_target = row[target_at].strip()
-                if not raw_target:
-                    dropped_target += 1
-                    continue
-                y = _number(raw_target, path, lineno, target_col)
-                if y <= 0:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {target_col!r}: "
-                        f"dose must be positive, got {raw_target}"
-                    )
-                values = []
-                for name, at, numeric in cells:
-                    cell = row[at].strip()
-                    if not cell:
-                        dropped_missing += 1
-                        break
-                    values.append(_number(cell, path, lineno, name) if numeric else cell)
-                else:
-                    for column, value in zip(columns, values):
-                        column.append(value)
-                    ids.append((row[id_at].strip() if id_at is not None else "") or f"row{lineno}")
-                    ys.append(y * dose_scale)
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {path}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+        # a repeated header name reads its last column, as csv.DictReader does
+        where = {name: i for i, name in enumerate(header)}
+        target_at = where[target_col]
+        id_at = where[id_col] if id_col else None
+        cells = [(name, where[name], kind == KIND_NUMERIC) for name, _, kind in declared]
+        blank = [""] * len(header)
+        lineno = 1
+        for row in reader:
+            if not row:  # blank lines are skipped and not counted
+                continue
+            lineno += 1
+            if len(row) < len(header):  # a short row reads as blank cells
+                row += blank[len(row):]
+            raw_target = row[target_at].strip()
+            if not raw_target:
+                dropped_target += 1
+                continue
+            y = _number(raw_target, path, lineno, target_col)
+            if y <= 0:
+                raise DataError(
+                    f"{path}: row {lineno}, column {target_col!r}: "
+                    f"dose must be positive, got {raw_target}"
+                )
+            values = []
+            for name, at, numeric in cells:
+                cell = row[at].strip()
+                if not cell:
+                    dropped_missing += 1
+                    break
+                values.append(_number(cell, path, lineno, name) if numeric else cell)
+            else:
+                for column, value in zip(columns, values):
+                    column.append(value)
+                ids.append((row[id_at].strip() if id_at is not None else "") or f"row{lineno}")
+                ys.append(y * dose_scale)
     except UnicodeDecodeError as exc:
-        # a streaming decoder counts the position from the start of its chunk;
-        # a whole read names the byte's position in the file
-        load_text(path)
+        # the wrapper counts a bad byte's position from the start of its chunk;
+        # a decode of the whole names its position in the file
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
 
     if dropped_target or dropped_missing:

@@ -20,7 +20,6 @@ from dosedistill.cli import _parse_disclosure, run_command
 from dosedistill.dataset import (
     _parse_schema,
     load_and_validate,
-    load_text,
     parse_and_validate,
     split_cohorts,
     standardize,
@@ -223,6 +222,101 @@ class TestSynthPrepare:
         assert not (out / "sweep.csv").exists()
 
 
+NO_OUT = "error: no output directory: pass --out or set DOSEDISTILL_OUT\n"
+
+WRITING_COMMANDS = {
+    "synth": ["--n", "60"],
+    "prepare": [],
+    "select-features": [],
+    "train": ["--profile", "public", "--grid", "0", *FAST],
+    "sweep": ["--profile", "public", "--grid", "0", *FAST],
+    "evaluate": ["--runs", "1", "--grid", "0", *FAST],
+}
+
+
+def data_args(command, data, schema):
+    return [] if command == "synth" else ["--data", str(data), "--schema", str(schema)]
+
+
+class TestOutputDirectory:
+    """Where a writing command writes: ``--out``, else ``DOSEDISTILL_OUT``."""
+
+    @pytest.mark.parametrize("command", ["synth", "select-features", "train", "sweep",
+                                         "evaluate"])
+    def test_no_output_directory_is_a_data_error(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        data, schema = synth(tmp_path)
+        monkeypatch.delenv("DOSEDISTILL_OUT", raising=False)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        argv = [command, *data_args(command, data, schema), *WRITING_COMMANDS[command]]
+        assert run_command(argv) == 3
+        assert capsys.readouterr() == ("", NO_OUT)
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in data.parent.iterdir()) == [
+            "data.csv", "run_config.json", "schema.json",
+        ]
+
+    def test_the_environment_names_the_output_directory(self, tmp_path, monkeypatch):
+        env = tmp_path / "env"
+        monkeypatch.setenv("DOSEDISTILL_OUT", str(env))
+        assert run_command(["synth", "--n", "60"]) == 0
+        assert sorted(p.name for p in env.iterdir()) == [
+            "data.csv", "run_config.json", "schema.json",
+        ]
+        config = json.loads((env / "run_config.json").read_text())
+        assert (config["command"], config["out"]) == ("synth", None)
+
+        # --out wins over the environment
+        before = (env / "data.csv").read_bytes()
+        data, schema = synth(tmp_path)
+        assert (env / "data.csv").read_bytes() == before
+        assert data.read_bytes() != before
+
+        # a failing command makes no directory there
+        fresh = tmp_path / "fresh"
+        monkeypatch.setenv("DOSEDISTILL_OUT", str(fresh))
+        assert run_command([
+            "train", "--data", str(tmp_path / "nope.csv"), "--schema", str(schema),
+        ]) == 3
+        assert not fresh.exists()
+
+    def test_prepare_out_writes_its_run_config(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "p"
+        assert run_command([
+            "prepare", "--data", str(data), "--schema", str(schema), "--out", str(out),
+        ]) == 0
+        assert "240 usable records" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        assert json.loads((out / "run_config.json").read_text()) == {
+            "command": "prepare", "data": str(data), "schema": str(schema),
+            "out": str(out), "dump_encoded": None,
+        }
+
+        fresh = tmp_path / "fresh"
+        assert run_command([
+            "prepare", "--data", str(tmp_path / "nope.csv"), "--schema", str(schema),
+            "--out", str(fresh),
+        ]) == 3
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("command", WRITING_COMMANDS)
+    def test_run_config_records_the_command_and_its_arguments(self, tmp_path, command):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "o"
+        argv = [command, *data_args(command, data, schema), "--out", str(out),
+                *WRITING_COMMANDS[command]]
+        assert run_command(argv) == 0
+        config = json.loads((out / "run_config.json").read_text())
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert config == {k: v for k, v in parsed.items() if k != "func"}
+        assert config["command"] == command
+
+
 class TestOneParserPerProcess:
     """``build_parser`` runs once per process; no call may see another's state."""
 
@@ -316,18 +410,36 @@ class TestSelectFeatures:
     def test_nan_epsilon_is_usage_error(self, tmp_path, capsys):
         data, schema = synth(tmp_path)
         out = tmp_path / "bae"
-        code = run_command([
-            "select-features", "--data", str(data), "--schema", str(schema),
-            "--out", str(out), "--epsilon", "nan",
-        ])
-        assert code == 2
-        assert "usage error: epsilon must be a number" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            run_command([
+                "select-features", "--data", str(data), "--schema", str(schema),
+                "--out", str(out), "--epsilon", "nan",
+            ])
+        assert err.value.code == 2
+        assert ("argument --epsilon: must be a number, got 'nan'"
+                in capsys.readouterr().err)
         assert not (out / "bae.json").exists()
+
+    @pytest.mark.parametrize("epsilon", ["inf", "-0.5"])
+    def test_infinite_or_negative_epsilon_is_taken(self, tmp_path, epsilon):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "bae"
+        assert run_command([
+            "select-features", "--data", str(data), "--schema", str(schema),
+            "--out", str(out), "--epsilon", epsilon,
+        ]) == 0
+        report = json.loads((out / "bae.json").read_text())
+        assert json.loads((out / "run_config.json").read_text())["epsilon"] == float(epsilon)
+        if epsilon == "inf":  # every unprotected feature goes
+            assert report["kept"] == ["genotypic_0", "genotypic_1"]
+        else:  # on this cohort no removal gains half a mg/week
+            assert report["removed"] == []
 
     @pytest.mark.parametrize("option, value", [
         ("--folds", "1"), ("--folds", "0"), ("--folds", "2.5"),
         ("--ratio", "0"), ("--ratio", "1"), ("--ratio", "-0.5"), ("--ratio", "1.5"),
         ("--ratio", "nan"), ("--ratio", "inf"), ("--ratio", "half"),
+        ("--epsilon", "nan"),
     ])
     def test_bad_folds_or_ratio_is_refused_before_the_data_is_read(
         self, tmp_path, capsys, option, value
@@ -767,7 +879,7 @@ class TestOnDemandLoader:
         text = data.read_text().replace("\n", end).replace(",A,", f',"A{end}B",', 1)
         data.write_bytes(text.encode())
         loaded = load_and_validate(data, schema)
-        parsed = parse_and_validate(_parse_schema(schema), load_text(data), data)
+        parsed = parse_and_validate(_parse_schema(schema), data.read_bytes(), data)
         assert parsed[0] == loaded[0]
         for a, b in zip(parsed[1].__dict__.values(), loaded[1].__dict__.values()):
             assert np.array_equal(a, b)

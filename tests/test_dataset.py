@@ -1,5 +1,6 @@
 """Loading, validation, encoding, standardization, splitting, synthesis."""
 
+import ast
 import csv
 from pathlib import Path
 
@@ -437,3 +438,38 @@ def test_only_the_dataset_module_touches_files():
         for token in banned if token in path.read_text(encoding="utf-8")
     ]
     assert found == []
+
+
+def _opens_to_write(call: ast.Call) -> bool:
+    """Whether ``open(file, mode)`` or ``path.open(mode)`` names a write mode."""
+    args = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    modes = [*args[:1], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+
+def _file_reads(node: ast.AST, where: str):
+    """The enclosing function of every file read under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _file_reads(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("read_bytes", "read_text") or (
+                name == "open" and not _opens_to_write(child)
+            ):
+                yield where
+        yield from _file_reads(child, where)
+
+
+def test_the_one_file_read_is_load_bytes():
+    """Every input file is read by ``dataset.load_bytes``: nothing else in the
+    package reads a file's bytes or text, or opens one without a write mode."""
+    package = Path(dosedistill.__file__).parent
+    reads = [
+        (path.name, where)
+        for path in sorted(package.glob("*.py"))
+        for where in _file_reads(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    ]
+    assert reads == [("dataset.py", "load_bytes")]

@@ -1,6 +1,7 @@
 """Metrics, the safety window, and the repeated-split study."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from dosedistill import evaluation
 from dosedistill.dataset import load_and_validate
-from dosedistill.distillation import DistillationConfig, run_study
+from dosedistill.distillation import DistillationConfig, run_study, train_distilled
 from dosedistill.evaluation import (
     STUDY_STATS,
     SafetyPartition,
@@ -18,7 +19,7 @@ from dosedistill.evaluation import (
     evaluate_predictions,
     mean_std,
 )
-from dosedistill.models import LinearModel, TrainConfig
+from dosedistill.models import LinearModel, TrainConfig, train_mlp
 from dosedistill.profiles import Profile, ProfileCatalog, default_catalog
 from dosedistill.synthetic import SyntheticSpec
 
@@ -258,6 +259,32 @@ class TestRunStudy:
         one = run_study(records, catalog, profiles, self.fast_config(6), runs=1)
         key = ("partial", profiles.profiles[1].name)
         assert two[key][1] == one[key][0]
+
+    def test_a_grid_without_zero_still_has_its_lambda_zero_arm(self, dataset):
+        """With the grid (0.5,), a redacting profile's partial arm is its
+        lambda = 0 model, and its distilled arm the better of lambda = 0 and
+        0.5 on the run's validation split."""
+        catalog, records = dataset
+        profiles = ProfileCatalog(default_catalog(catalog).profiles[:3])
+        config = replace(self.fast_config(10), lambda_grid=(0.5,))
+        results = run_study(records, catalog, profiles, config, runs=1)
+        train, valid = config.split(records, catalog)
+        teacher = train_mlp(train.X, train.y, config.train)  # every column
+        picked = set()
+        for profile in profiles:
+            if profile.is_public:
+                continue
+            reports = {
+                lam: evaluate_model(train_distilled(
+                    train, profile, teacher, replace(config, lambda_grid=(lam,))
+                ), valid, profile)
+                for lam in (0.0, 0.5)
+            }
+            assert results["partial", profile.name] == (reports[0.0],)
+            best = min(reports, key=lambda lam: (reports[lam].mae, lam))
+            assert results["distilled", profile.name] == (reports[best],)
+            picked.add(best)
+        assert picked == {0.0, 0.5}  # at this seed, one profile picks each
 
 
 def test_evaluation_only_scores():
