@@ -1,9 +1,10 @@
 """Command-line surface for the dose-modeling pipeline.
 
-Every writing command drops its effective configuration next to its outputs
-as ``run_config.json``; re-running with the same arguments reproduces every
-output byte for byte. Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric
-failure.
+A writing command writes into ``--out``, else ``DOSEDISTILL_OUT``, and
+returns its summary line; ``run_command`` records the parsed arguments there,
+that directory among them, as ``run_config.json``, then prints the line.
+Re-running the recorded arguments reproduces every output byte for byte.
+Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -59,17 +60,21 @@ SEED_HELP = (
 )
 
 
-def _out_dir(args) -> Path:
-    """The output directory a command names; ``_made`` creates it once the
-    command has something to write, so a failing command leaves none behind.
+def _out_dir(args) -> Path | None:
+    """The output directory a writing command names, stored back in
+    ``args.out``; ``_made`` creates it once the command has something to
+    write, so a failing command leaves none behind. Only ``prepare`` may
+    name none (``None``), and then it writes nothing.
 
     A path that can never be a directory (it, or its nearest existing
     ancestor, is a file) is refused here, before the command does any work.
     """
-    out = args.out or os.environ.get("DOSEDISTILL_OUT")
-    if not out:
+    args.out = args.out or os.environ.get("DOSEDISTILL_OUT")
+    if not args.out:
+        if args.command == "prepare":
+            return None
         raise DataError("no output directory: pass --out or set DOSEDISTILL_OUT")
-    path = Path(out)
+    path = Path(args.out)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise DataError(
@@ -78,7 +83,8 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _made(path: Path) -> Path:
+def _made(out: str | Path) -> Path:
+    path = Path(out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -201,11 +207,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    "(default: the usable CPUs)")
 
 
-def _run_config_obj(args) -> dict:
-    """The parsed arguments, ``command`` among them, as ``run_config.json``."""
-    return {key: value for key, value in vars(args).items() if key != "func"}
-
-
 def _layout_catalog(schema_path: str) -> FeatureCatalog:
     """Catalog skeleton from a schema alone (kinds flattened to numeric),
     enough to derive profile masks before any data is loaded."""
@@ -227,8 +228,7 @@ def _resolve_profiles(catalog, names: Sequence[str] | None) -> list[Profile]:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_synth(args) -> int:
-    out = _out_dir(args)
+def _cmd_synth(args) -> str:
     spec = SyntheticSpec(
         n=args.n,
         demographic=args.demographic,
@@ -241,29 +241,36 @@ def _cmd_synth(args) -> int:
         base_dose=args.base_dose,
     )
     columns, schema = generate_synthetic(spec, args.seed)
-    write_dataset(columns, schema, _made(out) / "data.csv", out / "schema.json")
-    serialize.save_json(out / "run_config.json", _run_config_obj(args))
-    print(f"synth: wrote {spec.n} records (d={spec.d}) to {out}")
-    return EXIT_OK
+    out = _made(args.out)
+    write_dataset(columns, schema, out / "data.csv", out / "schema.json")
+    return f"synth: wrote {spec.n} records (d={spec.d}) to {out}"
 
 
-def _cmd_prepare(args) -> int:
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them is missing or cannot be looked at
+        return False
+
+
+def _cmd_prepare(args) -> str:
+    for option, path in (("--data", args.data), ("--schema", args.schema)):
+        if args.dump_encoded and _same_file(args.dump_encoded, path):
+            raise DataError(
+                f"--dump-encoded {args.dump_encoded} is the {option} file; "
+                "an input is never overwritten"
+            )
     catalog, records = load_and_validate(args.data, args.schema)
     cohort = standardize(records, catalog)
     if args.dump_encoded:
         cohort_to_csv(cohort, args.dump_encoded)
-    if args.out:
-        out = _made(_out_dir(args))
-        serialize.save_json(out / "run_config.json", _run_config_obj(args))
-    print(
+    return (
         f"prepare: {len(records)} usable records, d={catalog.d}, "
         f"{sum(1 for f in catalog.features if f.kind == 'categorical')} categorical"
     )
-    return EXIT_OK
 
 
-def _cmd_select_features(args) -> int:
-    out = _out_dir(args)
+def _cmd_select_features(args) -> str:
     catalog, records = load_and_validate(args.data, args.schema)
     train, _ = split_cohorts(records, catalog, args.ratio, args.seed)
     protected = (
@@ -286,13 +293,12 @@ def _cmd_select_features(args) -> int:
             for rnd in result.trace
         ],
     }
-    serialize.save_json(_made(out) / "bae.json", obj)
-    serialize.save_json(out / "run_config.json", _run_config_obj(args))
-    print(
+    out = _made(args.out)
+    serialize.save_json(out / "bae.json", obj)
+    return (
         f"select-features: kept {len(result.kept)}/{catalog.d}, "
         f"removed {len(result.removed)}, report in {out / 'bae.json'}"
     )
-    return EXIT_OK
 
 
 def _cmd_profiles_list(args) -> int:
@@ -334,10 +340,10 @@ def _write_table(path: Path, header: Sequence[str], rows) -> None:
     ))
 
 
-def _cmd_train(args) -> int:
-    out = _out_dir(args)
+def _cmd_train(args) -> str:
     pack, bundles, _ = _fit_profiles(args)
-    serialize.save_json(_made(out) / "pack.json", pack)
+    out = _made(args.out)
+    serialize.save_json(out / "pack.json", pack)
     report_obj = {
         b.profile.name: {
             "lambda": b.lam,
@@ -346,20 +352,18 @@ def _cmd_train(args) -> int:
         for b in bundles
     }
     serialize.save_json(out / "report.json", report_obj)
-    serialize.save_json(out / "run_config.json", _run_config_obj(args))
     summary = ", ".join(
         f"{b.profile.name}: mae {b.metrics.mae:.2f} @ lambda {b.lam:g}"
         for b in bundles
     )
-    print(f"train: {summary}; pack in {out / 'pack.json'}")
-    return EXIT_OK
+    return f"train: {summary}; pack in {out / 'pack.json'}"
 
 
-def _cmd_sweep(args) -> int:
-    out = _out_dir(args)
+def _cmd_sweep(args) -> str:
     pack, bundles, points = _fit_profiles(args)
+    out = _made(args.out)
     _write_table(
-        _made(out) / "sweep.csv",
+        out / "sweep.csv",
         ["profile", "lambda", "mae", "mape", "sw", "under", "over"],
         (
             [name, f"{lam:g}", rep.mae, rep.mape, rep.safety.within_pct,
@@ -368,16 +372,13 @@ def _cmd_sweep(args) -> int:
         ),
     )
     serialize.save_json(out / "pack.json", pack)
-    serialize.save_json(out / "run_config.json", _run_config_obj(args))
-    print(
+    return (
         f"sweep: {len(points)} grid points over {len(bundles)} profile(s); "
         f"CSV in {out / 'sweep.csv'}"
     )
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    out = _out_dir(args)
+def _cmd_evaluate(args) -> str:
     config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
     profiles = default_catalog(catalog)
@@ -399,7 +400,8 @@ def _cmd_evaluate(args) -> int:
         }
         for (kind, name), arm in stats.items()
     }
-    serialize.save_json(_made(out) / "study.json", study_obj)
+    out = _made(args.out)
+    serialize.save_json(out / "study.json", study_obj)
 
     _write_table(
         out / "accuracy.csv",
@@ -413,12 +415,10 @@ def _cmd_evaluate(args) -> int:
          "under_std", "within_std", "over_std"],
         ([*key, *(arm[s][i] for i in (0, 1) for s in window)] for key, arm in stats.items()),
     )
-    serialize.save_json(out / "run_config.json", _run_config_obj(args))
-    print(
+    return (
         f"evaluate: {args.runs} run(s) x {len(profiles)} profiles; "
         f"tables in {out / 'accuracy.csv'} and {out / 'safety.csv'}"
     )
-    return EXIT_OK
 
 
 def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Disclosure:
@@ -539,9 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=SEED_HELP,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    writes = argparse.ArgumentParser(add_help=False)  # every writing command's --out
+    writes.add_argument("--out", help="output directory (default: $DOSEDISTILL_OUT)")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--out", help="output directory")
+    p = sub.add_parser("synth", parents=[writes], help="generate a synthetic dataset")
     p.add_argument("--seed", type=_whole_number(0), default=0)
     p.add_argument("--n", type=int, default=1200)
     p.add_argument("--demographic", type=int, default=4)
@@ -555,16 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-dose", type=float, default=50.0)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("prepare", help="validate and encode a dataset")
+    p = sub.add_parser("prepare", parents=[writes], help="validate and encode a dataset")
     _add_data_args(p)
-    p.add_argument("--out", default=None)
     p.add_argument("--dump-encoded", default=None, metavar="PATH",
                    help="write the encoded standardized matrix as CSV")
     p.set_defaults(func=_cmd_prepare)
 
-    p = sub.add_parser("select-features", help="backward attribute elimination")
+    p = sub.add_parser("select-features", parents=[writes],
+                       help="backward attribute elimination")
     _add_data_args(p)
-    p.add_argument("--out", help="output directory")
     p.add_argument("--epsilon", type=_number, default=0.05,
                    help="max tolerated CV-MAE degradation per removal")
     p.add_argument("--folds", type=_whole_number(2), default=5)
@@ -580,26 +580,25 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--schema", required=True)
     pl.set_defaults(func=_cmd_profiles_list)
 
-    p = sub.add_parser("train", help="train per-profile model bundles")
+    p = sub.add_parser("train", parents=[writes], help="train per-profile model bundles")
     _add_data_args(p)
-    p.add_argument("--out", help="output directory")
     p.add_argument("--profile", action="append",
                    help="profile name (repeatable; default: all nine)")
     _add_train_args(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("sweep", help="train across the imitation-weight grid")
+    p = sub.add_parser("sweep", parents=[writes],
+                       help="train across the imitation-weight grid")
     _add_data_args(p)
-    p.add_argument("--out", help="output directory")
     p.add_argument("--profile", action="append",
                    help="profile name (repeatable; default: all nine)")
     _add_train_args(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("evaluate", help="multi-split accuracy and safety study")
+    p = sub.add_parser("evaluate", parents=[writes],
+                       help="multi-split accuracy and safety study")
     _add_data_args(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_whole_number(1), default=10)
     _add_train_args(p)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -621,7 +620,19 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "jobs", 1) is None:  # --jobs's default, read per call
             args.jobs = _usable_cpus()
-        return args.func(args)
+        if "out" not in args:  # a command that writes no files
+            return args.func(args)
+        out = _out_dir(args)
+        record = None if out is None else out / "run_config.json"
+        dump = getattr(args, "dump_encoded", None)
+        if dump and record and os.path.realpath(dump) == os.path.realpath(record):
+            raise DataError(f"--dump-encoded {dump} is the run record {record}")
+        summary = args.func(args)
+        if record is not None:  # the parsed arguments, ``command`` among them
+            _made(out)
+            serialize.save_json(record, {k: v for k, v in vars(args).items() if k != "func"})
+        print(summary)  # last, so a failed record write prints no success line
+        return EXIT_OK
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import ast
 import csv
 import json
 import multiprocessing
@@ -84,6 +85,72 @@ class TestSynthPrepare:
         rows = read_rows(dump)
         assert len(rows) == 241  # header + records
 
+    @pytest.mark.parametrize("option", ["--data", "--schema"])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_dump_over_an_input_is_refused(
+        self, tmp_path, capsys, monkeypatch, option, spelling
+    ):
+        data, schema = synth(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        inputs = {"--data": "data/data.csv", "--schema": "data/schema.json"}
+        dump = {"same": inputs[option], "dotted": f"./{inputs[option]}",
+                "symlink": "link"}[spelling]
+        if spelling == "symlink":
+            Path("link").symlink_to(inputs[option])
+        before = (data.read_bytes(), schema.read_bytes())
+        capsys.readouterr()
+        argv = ["prepare", *(x for pair in inputs.items() for x in pair),
+                "--dump-encoded", dump]
+        assert run_command(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --dump-encoded {dump} is the {option} file; "
+            "an input is never overwritten\n"
+        )
+        assert (data.read_bytes(), schema.read_bytes()) == before
+
+    @pytest.mark.parametrize("named_by", ["--out", "DOSEDISTILL_OUT"])
+    def test_dump_over_the_run_record_is_refused(
+        self, tmp_path, capsys, monkeypatch, named_by
+    ):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "p"
+        monkeypatch.setenv("DOSEDISTILL_OUT", str(out))
+        argv = ["prepare", "--data", str(data), "--schema", str(schema),
+                "--dump-encoded", f"{out}/./run_config.json"]
+        if named_by == "--out":
+            monkeypatch.delenv("DOSEDISTILL_OUT")
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert run_command(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --dump-encoded {out}/./run_config.json is the run record "
+            f"{out}/run_config.json\n"
+        )
+        assert not out.exists()
+
+    def test_a_failed_record_write_prints_no_success_line(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        (out / "run_config.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert run_command(["synth", "--n", "30", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out / 'run_config.json'}: ")
+
+    def test_dump_named_like_a_missing_input_is_a_plain_data_error(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        missing = str(tmp_path / "nope.csv")
+        capsys.readouterr()
+        assert run_command([
+            "prepare", "--data", missing, "--schema", str(schema), "--dump-encoded", missing,
+        ]) == 3
+        assert capsys.readouterr().err == f"error: data file not found: {missing}\n"
+        assert not Path(missing).exists()
+
     def test_prepare_missing_file_exits_3(self, tmp_path, capsys):
         code = run_command([
             "prepare", "--data", str(tmp_path / "nope.csv"),
@@ -93,7 +160,8 @@ class TestSynthPrepare:
 
     @pytest.mark.parametrize("command, options, code", [
         ("train", {"--data": "no/such/dir/nope.csv"}, 3),
-        ("evaluate", {"--runs": "0"}, 2),
+        ("evaluate", {"--ratio": "0.001"}, 3),  # a one-row training split, after the load
+        ("evaluate", {"--grid": "0,0"}, 2),
         ("select-features", {"--folds": "100000"}, 3),
     ])
     def test_failing_command_leaves_no_output_directory(
@@ -268,7 +336,7 @@ class TestOutputDirectory:
             "data.csv", "run_config.json", "schema.json",
         ]
         config = json.loads((env / "run_config.json").read_text())
-        assert (config["command"], config["out"]) == ("synth", None)
+        assert (config["command"], config["out"]) == ("synth", str(env))
 
         # --out wins over the environment
         before = (env / "data.csv").read_bytes()
@@ -283,6 +351,25 @@ class TestOutputDirectory:
             "train", "--data", str(tmp_path / "nope.csv"), "--schema", str(schema),
         ]) == 3
         assert not fresh.exists()
+
+    def test_prepare_writes_its_record_under_the_environment(
+        self, tmp_path, monkeypatch
+    ):
+        data, schema = synth(tmp_path)
+        env = tmp_path / "envp"
+        monkeypatch.setenv("DOSEDISTILL_OUT", str(env))
+        argv = ["prepare", "--data", str(data), "--schema", str(schema)]
+        assert run_command(argv) == 0
+        assert sorted(p.name for p in env.iterdir()) == ["run_config.json"]
+        assert json.loads((env / "run_config.json").read_text())["out"] == str(env)
+
+        # with neither --out nor the variable, prepare writes nothing
+        monkeypatch.delenv("DOSEDISTILL_OUT")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run_command(argv) == 0
+        assert list(work.iterdir()) == []
 
     def test_prepare_out_writes_its_run_config(self, tmp_path, capsys):
         data, schema = synth(tmp_path)
@@ -315,6 +402,68 @@ class TestOutputDirectory:
         parsed = vars(cli.build_parser().parse_args(argv))
         assert config == {k: v for k, v in parsed.items() if k != "func"}
         assert config["command"] == command
+
+    @pytest.mark.parametrize("command", WRITING_COMMANDS)
+    def test_a_recorded_run_replays_byte_for_byte(self, tmp_path, monkeypatch, command):
+        """A run named by ``DOSEDISTILL_OUT`` alone, replayed from its record
+        into a fresh directory, writes the same bytes and the same record."""
+        data, schema = synth(tmp_path)
+        env = tmp_path / "env"
+        monkeypatch.setenv("DOSEDISTILL_OUT", str(env))
+        argv = [command, *data_args(command, data, schema), *WRITING_COMMANDS[command]]
+        assert run_command(argv) == 0
+        record = json.loads((env / "run_config.json").read_text())
+        assert record["out"] == str(env)
+
+        monkeypatch.delenv("DOSEDISTILL_OUT")
+        fresh = tmp_path / "replay"
+        assert run_command(recorded_argv(record | {"out": str(fresh)})) == 0
+        names = sorted(p.name for p in env.iterdir())
+        assert sorted(p.name for p in fresh.iterdir()) == names
+        for name in names:
+            if name != "run_config.json":
+                assert (fresh / name).read_bytes() == (env / name).read_bytes(), name
+        replayed = json.loads((fresh / "run_config.json").read_text())
+        assert replayed == record | {"out": str(fresh)}
+
+
+def recorded_argv(record: dict) -> list[str]:
+    """The command line a ``run_config.json`` records."""
+    argv = [record["command"]]
+    for key, value in record.items():
+        option = "--" + key.replace("_", "-")
+        if key == "command" or value is None or value is False:
+            continue
+        if value is True:
+            argv.append(option)
+        else:
+            argv += [x for v in (value if isinstance(value, list) else [value])
+                     for x in (option, str(v))]
+    return argv
+
+
+def _names_of_the_run_record(node: ast.AST, where: str):
+    """The enclosing function of every ``"run_config.json"`` literal under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _names_of_the_run_record(child, child.name)
+            continue
+        if isinstance(child, ast.Constant) and child.value == "run_config.json":
+            yield where
+        yield from _names_of_the_run_record(child, where)
+
+
+def test_the_run_record_is_written_by_run_command_alone():
+    """Every writing command's ``run_config.json`` is written in one place."""
+    package = Path(dosedistill.__file__).parent
+    places = [
+        (path.name, where)
+        for path in sorted(package.glob("*.py"))
+        for where in _names_of_the_run_record(
+            ast.parse(path.read_text(encoding="utf-8")), "<module>"
+        )
+    ]
+    assert places == [("cli.py", "run_command")]
 
 
 class TestOneParserPerProcess:
@@ -1109,6 +1258,19 @@ class TestSweep:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("runs", ["0", "-1", "2.5"])
+    def test_bad_runs_is_refused_before_the_data_is_read(self, tmp_path, capsys, runs):
+        # the data file does not exist: reading it would exit 3
+        out = tmp_path / "e"
+        with pytest.raises(SystemExit) as err:
+            run_command([
+                "evaluate", "--data", str(tmp_path / "nope.csv"),
+                "--schema", str(tmp_path / "nope.json"), "--out", str(out), "--runs", runs,
+            ])
+        assert err.value.code == 2
+        assert "argument --runs: must be " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_study_outputs(self, tmp_path):
         data, schema = synth(tmp_path, n=200)
         out = tmp_path / "e"
