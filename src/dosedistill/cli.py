@@ -1,9 +1,9 @@
 """Command-line surface for the dose-modeling pipeline.
 
-A writing command writes into ``--out``, else ``DOSEDISTILL_OUT``, and
-returns its summary line; ``run_command`` records the parsed arguments there,
-that directory among them, as ``run_config.json``, then prints the line.
-Re-running the recorded arguments reproduces every output byte for byte.
+Every command returns its output, which ``run_command`` prints. A writing
+command writes into ``--out``, else ``DOSEDISTILL_OUT``, and ``run_command``
+records the parsed arguments there, that directory among them, as
+``run_config.json``; re-running them reproduces every output byte for byte.
 Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
 """
 
@@ -75,7 +75,10 @@ def _out_dir(args) -> Path | None:
             return None
         raise DataError("no output directory: pass --out or set DOSEDISTILL_OUT")
     path = Path(args.out)
-    existing = next(p for p in (path, *path.parents) if p.exists())
+    try:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:  # a name too long, say: exists() lets it through
+        raise DataError(f"cannot make output directory {path}: {exc.strerror}") from None
     if not existing.is_dir():
         raise DataError(
             f"cannot make output directory {path}: {existing} is not a directory"
@@ -301,21 +304,18 @@ def _cmd_select_features(args) -> str:
     )
 
 
-def _cmd_profiles_list(args) -> int:
+def _cmd_profiles_list(args) -> str:
     catalog = _layout_catalog(args.schema)
     profiles = default_catalog(catalog)
     cats = list(FeatureCategory)
     name_w = max(len(p.name) for p in profiles) + 2
     header = "Profile".ljust(name_w) + "".join(c.label.ljust(13) for c in cats)
-    print(header)
-    print("-" * len(header))
-    for p in profiles:
-        marks = "".join(
-            ("✗" if c in p.redacted_categories else "✓").ljust(13)
-            for c in cats
-        )
-        print(p.name.ljust(name_w) + marks)
-    return EXIT_OK
+    rows = [
+        p.name.ljust(name_w)
+        + "".join(("✗" if c in p.redacted_categories else "✓").ljust(13) for c in cats)
+        for p in profiles
+    ]
+    return "\n".join([header, "-" * len(header), *rows])
 
 
 def _fit_profiles(args):
@@ -452,21 +452,22 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
     return Disclosure(frozenset(values), values)
 
 
-# ((data bytes, schema text, recipe), catalog, (train, valid), teachers,
-# {disclosed set: bundle}) of the last on-demand training data seen
+# (key, catalog, train, valid, teachers, {disclosed set: bundle}) of the last
+# on-demand data to pass a pack check; key: (data bytes, schema text, recipe)
 _last_on_demand: tuple | None = None
 
 
-def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config) -> tuple:
-    """``_last_on_demand`` as it stands once ``disclosure``'s bundle is in it.
+def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config):
+    """The bundle that serves ``disclosure``, trained on ``--data`` on demand.
 
     The bundle is trained as the pack's profiles were: its split, grid and
     privileged mode. It depends only on the disclosed set, the bytes of
     ``--data``, the text of ``--schema`` and the pack's recipe, so the last
-    of these are kept with their split, their teachers and every set trained
-    on them, and any other file or recipe starts afresh. The data is checked
-    against the pack on every call.
+    of these to pass the pack check, made on every call, are kept with their
+    split, their teachers and every set trained on them, even by a call that
+    fails later; any other file or recipe starts afresh.
     """
+    global _last_on_demand
     data_path, schema_path = Path(args.data), Path(args.schema)
     schema_text = load_text(schema_path)
     # checked before the data is read, so its errors come first, as in
@@ -476,27 +477,26 @@ def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config) -> t
     last = _last_on_demand  # one read: another thread may replace it meanwhile
     if last is None or last[0] != key:
         data_catalog, records = parse_and_validate(schema, key[0], data_path)
-        last = (key, data_catalog, config.split(records, data_catalog), {}, {})
-    key, data_catalog, (train, valid), teachers, bundles = last
+        last = (key, data_catalog, *config.split(records, data_catalog), {}, {})
+    _, data_catalog, train, valid, teachers, bundles = last
     if not (
         data_catalog == catalog
         and np.array_equal(train.standardizer.means, standardizer.means)
         and np.array_equal(train.standardizer.stds, standardizer.stds)
     ):
         raise DataError("--data is not the data this model pack was trained on")
+    _last_on_demand = last
     if disclosure.disclosed not in bundles:
-        teachers = dict(teachers)  # a failed training leaves the kept ones as they were
-        bundle = train_on_demand(train, valid, disclosure, config, teachers)
-        bundles = bundles | {disclosure.disclosed: bundle}
-    return key, data_catalog, (train, valid), teachers, bundles
+        bundles[disclosure.disclosed] = train_on_demand(
+            train, valid, disclosure, config, teachers
+        )
+    return bundles[disclosure.disclosed]
 
 
-def _cmd_predict(args) -> int:
-    global _last_on_demand
+def _cmd_predict(args) -> str:
     catalog, standardizer, bundles, config = serialize.load_pack(args.model)
     disclosure = _parse_disclosure(args.disclose, catalog, standardizer)
     by_profile = {b.profile.name: b for b in bundles}
-    on_demand = None
     try:
         profile, exact = best_feasible([b.profile for b in bundles], disclosure)
         bundle = by_profile[profile.name]
@@ -506,8 +506,7 @@ def _cmd_predict(args) -> int:
                 "no stored profile fits this disclosure; re-run with --data/--schema "
                 "to train one on demand"
             ) from None
-        on_demand = _on_demand(args, disclosure, catalog, standardizer, config)
-        bundle = on_demand[-1][disclosure.disclosed]
+        bundle = _on_demand(args, disclosure, catalog, standardizer, config)
         profile, exact = bundle.profile, True
 
     x_visible = [disclosure.values[i] for i in profile.visible_features]
@@ -519,12 +518,8 @@ def _cmd_predict(args) -> int:
         raise NumericError(
             f"profile {profile.name!r} predicts a non-positive dose ({dose:.2f} mg/week)"
         )
-    if on_demand is not None:  # kept only by a call that succeeds
-        _last_on_demand = on_demand
     match = "exact match" if exact else "fallback: closest feasible profile"
-    print(f"profile: {profile.name} ({match})")
-    print(f"predicted weekly dose: {dose:.2f} mg/week")
-    return EXIT_OK
+    return f"profile: {profile.name} ({match})\npredicted weekly dose: {dose:.2f} mg/week"
 
 
 # ---------------------------------------------------------------- parser
@@ -620,18 +615,16 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "jobs", 1) is None:  # --jobs's default, read per call
             args.jobs = _usable_cpus()
-        if "out" not in args:  # a command that writes no files
-            return args.func(args)
-        out = _out_dir(args)
+        out = _out_dir(args) if "out" in args else None  # None: no files written
         record = None if out is None else out / "run_config.json"
         dump = getattr(args, "dump_encoded", None)
         if dump and record and os.path.realpath(dump) == os.path.realpath(record):
             raise DataError(f"--dump-encoded {dump} is the run record {record}")
-        summary = args.func(args)
+        text = args.func(args)
         if record is not None:  # the parsed arguments, ``command`` among them
             _made(out)
             serialize.save_json(record, {k: v for k, v in vars(args).items() if k != "func"})
-        print(summary)  # last, so a failed record write prints no success line
+        print(text)  # last, so a failed record write prints no success line
         return EXIT_OK
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

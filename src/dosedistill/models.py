@@ -301,7 +301,9 @@ def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
     fit_idx, hold_idx = perm[: n - n_hold], perm[n - n_hold :]
     Xf, Xh = X[fit_idx], X[hold_idx]
     Tf, Th = T[:, fit_idx], T[:, hold_idx]
-    mu = np.array([row.mean() for row in Tf])  # one contiguous row per member
+    # row by row: Tf, indexed by columns, is column-major, so Tf.mean(axis=1)
+    # would add each row in another order and change some means' last bit
+    mu = np.array([row.mean() for row in Tf])
     Tf -= mu[:, None]
     Th -= mu[:, None]
     # the held-out loss of predicting mu; no bound where the targets are all equal
@@ -358,11 +360,9 @@ def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
             g.buf /= tmp
             p.buf -= g.buf
 
-        hold_loss = np.empty(len(live))
-        for k in range(len(live)):  # one member at a time keeps memory small
-            err = _forward(p.like(p.buf[k : k + 1]), Xh)[1][0]
-            err -= Th[k]
-            hold_loss[k] = np.mean(np.square(err, out=err))
+        err = _forward(p, Xh)[1]
+        err -= Th
+        hold_loss = np.mean(np.square(err, out=err), axis=1)
         if not np.isfinite(hold_loss).all():
             raise TrainingDivergedError(
                 f"non-finite held-out loss at epoch {epoch}", epoch

@@ -85,6 +85,51 @@ class TestSynthPrepare:
         rows = read_rows(dump)
         assert len(rows) == 241  # header + records
 
+    def test_blank_lines_between_rows_are_skipped_and_not_counted(
+        self, tmp_path, capsys
+    ):
+        data, schema = synth(tmp_path, n=60)
+        lines = data.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join(line + "\n" for line in lines))
+        dumps = []
+        for name, path in (("plain", data), ("spaced", spaced)):
+            dumps.append(tmp_path / f"{name}-encoded.csv")
+            assert run_command([
+                "prepare", "--data", str(path), "--schema", str(schema),
+                "--dump-encoded", str(dumps[-1]),
+            ]) == 0
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+        row = lines[5].split(",")  # the fifth data row
+        row[2] = "heavy"  # demographic_1, a numeric column
+        lines[5] = ",".join(row)
+        spaced.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert run_command(["prepare", "--data", str(spaced), "--schema", str(schema)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {spaced}: row 6, column 'demographic_1': unparseable number 'heavy'\n"
+        )
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj | {"target_unit": "monthly"},
+         "target_unit must be 'weekly' or 'daily'"),
+        (lambda obj: obj | {"features": [*obj["features"], {
+            "name": obj["target"], "category": "background", "kind": "numeric"}]},
+         "target column 'weekly_dose_mg' also declared as a feature"),
+        (lambda obj: obj | {"features": [*obj["features"], obj["features"][1]]},
+         "duplicate feature names: ['demographic_1']"),
+    ], ids=["monthly-unit", "target-as-feature", "duplicate-feature"])
+    def test_a_schema_the_data_cannot_follow_exits_3(
+        self, tmp_path, capsys, edit, message
+    ):
+        data, schema = synth(tmp_path, n=60)
+        schema.write_text(json.dumps(edit(json.loads(schema.read_text()))))
+        capsys.readouterr()
+        assert run_command(["prepare", "--data", str(data), "--schema", str(schema)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     @pytest.mark.parametrize("option", ["--data", "--schema"])
     @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
     def test_dump_over_an_input_is_refused(
@@ -352,6 +397,30 @@ class TestOutputDirectory:
         ]) == 3
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("command, named_by", [
+        ("select-features", "--out"), ("synth", "DOSEDISTILL_OUT"),
+    ])
+    def test_a_name_too_long_is_a_data_error(
+        self, tmp_path, capsys, monkeypatch, command, named_by
+    ):
+        data, schema = synth(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        name = "x" * 300  # over the 255 bytes a file name may have
+        argv = [command, *data_args(command, data, schema), *WRITING_COMMANDS[command]]
+        if named_by == "--out":
+            monkeypatch.delenv("DOSEDISTILL_OUT", raising=False)
+            argv += ["--out", name]
+        else:
+            monkeypatch.setenv("DOSEDISTILL_OUT", name)
+        capsys.readouterr()
+        assert run_command(argv) == 3
+        assert capsys.readouterr() == (
+            "", f"error: cannot make output directory {name}: File name too long\n"
+        )
+        assert list(work.iterdir()) == []
+
     def test_prepare_writes_its_record_under_the_environment(
         self, tmp_path, monkeypatch
     ):
@@ -442,28 +511,44 @@ def recorded_argv(record: dict) -> list[str]:
     return argv
 
 
-def _names_of_the_run_record(node: ast.AST, where: str):
-    """The enclosing function of every ``"run_config.json"`` literal under ``node``."""
+def _enclosing_functions(node: ast.AST, where: str, match):
+    """The enclosing function of every node under ``node`` that ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _names_of_the_run_record(child, child.name)
+            yield from _enclosing_functions(child, child.name, match)
             continue
-        if isinstance(child, ast.Constant) and child.value == "run_config.json":
+        if match(child):
             yield where
-        yield from _names_of_the_run_record(child, where)
+        yield from _enclosing_functions(child, where, match)
+
+
+def _places_in_the_package(match) -> list[tuple[str, str]]:
+    """(file, enclosing function) of every node of the package ``match`` accepts."""
+    package = Path(dosedistill.__file__).parent
+    return [
+        (path.name, where)
+        for path in sorted(package.glob("*.py"))
+        for where in _enclosing_functions(
+            ast.parse(path.read_text(encoding="utf-8")), "<module>", match
+        )
+    ]
 
 
 def test_the_run_record_is_written_by_run_command_alone():
     """Every writing command's ``run_config.json`` is written in one place."""
-    package = Path(dosedistill.__file__).parent
-    places = [
-        (path.name, where)
-        for path in sorted(package.glob("*.py"))
-        for where in _names_of_the_run_record(
-            ast.parse(path.read_text(encoding="utf-8")), "<module>"
-        )
-    ]
+    places = _places_in_the_package(
+        lambda node: isinstance(node, ast.Constant) and node.value == "run_config.json"
+    )
     assert places == [("cli.py", "run_command")]
+
+
+def test_run_command_is_the_one_printer():
+    """Every command returns its output; only ``run_command`` prints."""
+    places = _places_in_the_package(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "print"
+    )
+    assert places and set(places) == {("cli.py", "run_command")}
 
 
 class TestOneParserPerProcess:
@@ -568,6 +653,19 @@ class TestSelectFeatures:
         assert ("argument --epsilon: must be a number, got 'nan'"
                 in capsys.readouterr().err)
         assert not (out / "bae.json").exists()
+
+    def test_a_word_for_epsilon_is_usage_error(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "bae"
+        with pytest.raises(SystemExit) as err:
+            run_command([
+                "select-features", "--data", str(data), "--schema", str(schema),
+                "--out", str(out), "--epsilon", "abc",
+            ])
+        assert err.value.code == 2
+        assert ("argument --epsilon: must be a number, got 'abc'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("epsilon", ["inf", "-0.5"])
     def test_infinite_or_negative_epsilon_is_taken(self, tmp_path, epsilon):
@@ -956,6 +1054,37 @@ class TestOnDemandMemo:
         assert "not the data this model pack was trained on" in err
         assert fits["on_demand"] == 1
         assert self.predict(capsys, pack, data, schema, ["demographic_1"])[0] == 0
+        assert fits["on_demand"] == 1
+
+    def test_another_cohort_is_refused_and_not_kept(self, tmp_path, capsys, fits):
+        data, schema = synth(tmp_path)
+        pack = self.train(capsys, fits, tmp_path, data, schema)
+        first = self.predict(capsys, pack, data, schema, ["demographic_1"])
+        assert first[0] == 0 and fits["on_demand"] == 1
+        other, other_schema = synth(tmp_path / "other", seed=8)
+        capsys.readouterr()
+        code, out, err = self.predict(capsys, pack, other, other_schema, ["demographic_1"])
+        assert code == 3 and out == ""
+        assert "not the data this model pack was trained on" in err
+        assert self.predict(capsys, pack, data, schema, ["demographic_1"]) == first
+        assert fits["on_demand"] == 1 and fits["stacks"] == [1, 2]
+
+    def test_a_set_whose_dose_is_refused_is_not_trained_again(
+        self, tmp_path, capsys, fits
+    ):
+        """The bundle depends on the data and the set alone, not on the
+        patient, so a refused dose keeps it for the next patient."""
+        data, schema = synth(tmp_path)
+        pack = self.train(capsys, fits, tmp_path, data, schema)
+        code = run_command([
+            "predict", "--model", str(pack), "--disclose", "demographic_1=-1e6",
+            "--data", str(data), "--schema", str(schema),
+        ])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "non-positive dose" in captured.err
+        code, out, _ = self.predict(capsys, pack, data, schema, ["demographic_1"])
+        assert code == 0 and "custom-" in out
         assert fits["on_demand"] == 1
 
 
