@@ -14,6 +14,7 @@ import functools
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +38,7 @@ from .dataset import (
 from .distillation import DistillationConfig, PrivilegedInputs, run_study, sweep_profiles
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
 from .evaluation import RISK_LABELS, STUDY_STATS, mean_std
-from .feature_selection import backward_attribute_elimination
+from .feature_selection import DEFAULT_EPSILON, DEFAULT_FOLDS, backward_attribute_elimination
 from .models import TrainConfig
 from .profiles import (
     Disclosure,
@@ -63,15 +64,15 @@ SEED_HELP = (
 def _out_dir(args) -> Path | None:
     """The output directory a writing command names, stored back in
     ``args.out``; ``_made`` creates it once the command has something to
-    write, so a failing command leaves none behind. Only ``prepare`` may
-    name none (``None``), and then it writes nothing.
+    write, so a failing command leaves none behind. Only ``prepare``
+    without ``--dump-encoded`` may name none (``None``): it writes nothing.
 
     A path that can never be a directory (it, or its nearest existing
     ancestor, is a file) is refused here, before the command does any work.
     """
     args.out = args.out or os.environ.get("DOSEDISTILL_OUT")
     if not args.out:
-        if args.command == "prepare":
+        if args.command == "prepare" and not args.dump_encoded:
             return None
         raise DataError("no output directory: pass --out or set DOSEDISTILL_OUT")
     path = Path(args.out)
@@ -87,10 +88,18 @@ def _out_dir(args) -> Path | None:
 
 
 def _made(out: str | Path) -> Path:
+    """The directory ``out``, made with its missing parents. If one cannot be
+    made, the ones made here are removed, deepest first, and no other."""
     path = Path(out)
+    made = []
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        for p in reversed((path, *path.parents)):
+            if not p.is_dir():
+                p.mkdir()
+                made.append(p)
     except OSError as exc:
+        for p in reversed(made):
+            p.rmdir()
         raise DataError(f"cannot make output directory {path}: {exc.strerror}") from None
     return path
 
@@ -128,15 +137,9 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=args.seed,
-        hidden=args.hidden,
-    )
+def _config(cls, args):
+    """A ``cls`` whose fields named by parsed options take their values."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name in args})
 
 
 def _distill_config(args) -> DistillationConfig:
@@ -144,7 +147,7 @@ def _distill_config(args) -> DistillationConfig:
         lambda_grid=_parse_grid(args.grid),
         privileged_inputs=PrivilegedInputs(args.privileged_inputs),
         split_ratio=args.ratio,
-        train=_train_config(args),
+        train=_config(TrainConfig, args),
     )
 
 
@@ -186,23 +189,31 @@ def _number(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
 
 
+def _add_field_args(p: argparse.ArgumentParser, cls, *names: str, **help: str) -> None:
+    """One option per named field of ``cls``, typed and defaulted by the field."""
+    for name in names:
+        default = getattr(cls, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=default, help=help.get(name))
+
+
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--schema", required=True, help="sidecar schema JSON")
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ratio", type=float, default=0.65,
-                   help="training fraction of the split (default 0.65)")
-    p.add_argument("--seed", type=_whole_number(0), default=0, help="master seed")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--grid", default="0:1:0.1",
+    ratio = DistillationConfig.split_ratio
+    p.add_argument("--ratio", type=_fraction, default=ratio,
+                   help=f"training fraction of the split (default {ratio})")
+    p.add_argument("--seed", type=_whole_number(0), default=TrainConfig.seed,
+                   help="master seed")
+    _add_field_args(p, TrainConfig, "learning_rate", "batch_size", "max_epochs",
+                    "patience", "hidden")
+    p.add_argument("--grid", default="0:1:0.1",  # parses to DEFAULT_GRID
                    help="imitation-weight grid, start:stop:step or comma list")
-    p.add_argument("--privileged-inputs", default="all_features",
+    p.add_argument("--privileged-inputs",
+                   default=DistillationConfig.privileged_inputs.value,
                    choices=[m.value for m in PrivilegedInputs])
     p.add_argument("--jobs", type=_whole_number(1), default=None,
                    help="worker processes that sweep profiles side by side, at most "
@@ -232,41 +243,18 @@ def _resolve_profiles(catalog, names: Sequence[str] | None) -> list[Profile]:
 
 
 def _cmd_synth(args) -> str:
-    spec = SyntheticSpec(
-        n=args.n,
-        demographic=args.demographic,
-        background=args.background,
-        phenotypic=args.phenotypic,
-        genotypic=args.genotypic,
-        categorical_per_category=args.categorical_per_category,
-        rho=args.rho,
-        noise_std=args.noise_std,
-        base_dose=args.base_dose,
-    )
+    spec = _config(SyntheticSpec, args)
     columns, schema = generate_synthetic(spec, args.seed)
     out = _made(args.out)
     write_dataset(columns, schema, out / "data.csv", out / "schema.json")
     return f"synth: wrote {spec.n} records (d={spec.d}) to {out}"
 
 
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one of them is missing or cannot be looked at
-        return False
-
-
 def _cmd_prepare(args) -> str:
-    for option, path in (("--data", args.data), ("--schema", args.schema)):
-        if args.dump_encoded and _same_file(args.dump_encoded, path):
-            raise DataError(
-                f"--dump-encoded {args.dump_encoded} is the {option} file; "
-                "an input is never overwritten"
-            )
     catalog, records = load_and_validate(args.data, args.schema)
     cohort = standardize(records, catalog)
     if args.dump_encoded:
-        cohort_to_csv(cohort, args.dump_encoded)
+        cohort_to_csv(cohort, _made(args.out) / "encoded.csv")
     return (
         f"prepare: {len(records)} usable records, d={catalog.d}, "
         f"{sum(1 for f in catalog.features if f.kind == 'categorical')} categorical"
@@ -539,31 +527,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[writes], help="generate a synthetic dataset")
     p.add_argument("--seed", type=_whole_number(0), default=0)
-    p.add_argument("--n", type=int, default=1200)
-    p.add_argument("--demographic", type=int, default=4)
-    p.add_argument("--background", type=int, default=6)
-    p.add_argument("--phenotypic", type=int, default=1)
-    p.add_argument("--genotypic", type=int, default=2)
-    p.add_argument("--categorical-per-category", type=int, default=1)
-    p.add_argument("--rho", type=float, default=0.8,
-                   help="correlation between withheld-signal and visible signal")
-    p.add_argument("--noise-std", type=float, default=8.0)
-    p.add_argument("--base-dose", type=float, default=50.0)
+    _add_field_args(p, SyntheticSpec, "n", "demographic", "background", "phenotypic",
+                    "genotypic", "categorical_per_category", "rho", "noise_std", "base_dose",
+                    rho="correlation between withheld-signal and visible signal")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("prepare", parents=[writes], help="validate and encode a dataset")
     _add_data_args(p)
-    p.add_argument("--dump-encoded", default=None, metavar="PATH",
-                   help="write the encoded standardized matrix as CSV")
+    p.add_argument("--dump-encoded", action="store_true",
+                   help="write the encoded standardized matrix as OUT/encoded.csv")
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("select-features", parents=[writes],
                        help="backward attribute elimination")
     _add_data_args(p)
-    p.add_argument("--epsilon", type=_number, default=0.05,
+    p.add_argument("--epsilon", type=_number, default=DEFAULT_EPSILON,
                    help="max tolerated CV-MAE degradation per removal")
-    p.add_argument("--folds", type=_whole_number(2), default=5)
-    p.add_argument("--ratio", type=_fraction, default=0.65)
+    p.add_argument("--folds", type=_whole_number(2), default=DEFAULT_FOLDS)
+    p.add_argument("--ratio", type=_fraction, default=DistillationConfig.split_ratio)
     p.add_argument("--seed", type=_whole_number(0), default=0)
     p.add_argument("--no-protect-genotypic", action="store_true",
                    help="allow genotypic features to be eliminated")
@@ -616,14 +597,10 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "jobs", 1) is None:  # --jobs's default, read per call
             args.jobs = _usable_cpus()
         out = _out_dir(args) if "out" in args else None  # None: no files written
-        record = None if out is None else out / "run_config.json"
-        dump = getattr(args, "dump_encoded", None)
-        if dump and record and os.path.realpath(dump) == os.path.realpath(record):
-            raise DataError(f"--dump-encoded {dump} is the run record {record}")
         text = args.func(args)
-        if record is not None:  # the parsed arguments, ``command`` among them
-            _made(out)
-            serialize.save_json(record, {k: v for k, v in vars(args).items() if k != "func"})
+        if out is not None:  # the parsed arguments, ``command`` among them
+            serialize.save_json(_made(out) / "run_config.json",
+                                {k: v for k, v in vars(args).items() if k != "func"})
         print(text)  # last, so a failed record write prints no success line
         return EXIT_OK
     except NumericError as exc:

@@ -278,6 +278,12 @@ def _parse_schema(schema_path: str | Path, text: str | None = None) -> dict:
             raise DataError(
                 f"schema {path}: feature {f['name']!r} has unknown kind {f['kind']!r}"
             )
+    names = [f["name"] for f in feats]
+    if schema["target"] in names:
+        raise DataError(f"target column {schema['target']!r} also declared as a feature")
+    dupes = sorted({n for n in names if names.count(n) > 1})
+    if dupes:
+        raise DataError(f"duplicate feature names: {dupes}")
     unit = schema.get("target_unit", "weekly")
     if unit not in ("weekly", "daily"):
         raise DataError(f"schema {path}: target_unit must be 'weekly' or 'daily'")
@@ -327,9 +333,6 @@ def parse_and_validate(
     dose_scale = 7.0 if schema.get("target_unit", "weekly") == "daily" else 1.0
     declared = [(f["name"], FeatureCategory.from_label(f["category"]), f["kind"]) for f in schema["features"]]
     feature_names = [name for name, _, _ in declared]
-    if target_col in feature_names:
-        raise DataError(f"target column {target_col!r} also declared as a feature")
-
     expected = set(feature_names) | {target_col} | ({id_col} if id_col else set())
     ids: list[str] = []
     ys: list[float] = []

@@ -16,7 +16,8 @@ cannot emit non-positive doses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import NormalDist
 from typing import Mapping
@@ -54,6 +55,10 @@ class SyntheticSpec:
     base_dose: float = 50.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"{f.name} must be finite, got {value}")
         if self.n < 2:
             raise DataError(f"need n >= 2, got {self.n}")
         if min(self.demographic, self.background, self.phenotypic, self.genotypic) < 0:

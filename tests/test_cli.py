@@ -7,7 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +25,13 @@ from dosedistill.dataset import (
     split_cohorts,
     standardize,
 )
-from dosedistill.distillation import DistillationConfig
+from dosedistill.distillation import DEFAULT_GRID, DistillationConfig
 from dosedistill.errors import DataError, TrainingDivergedError
+from dosedistill.feature_selection import DEFAULT_EPSILON, DEFAULT_FOLDS
 from dosedistill.models import MlpModel, TrainConfig
 from dosedistill.profiles import Disclosure, train_on_demand
 from dosedistill.serialize import load_pack, pack_from_obj, pack_to_obj, save_json
+from dosedistill.synthetic import SyntheticSpec
 
 FAST = [
     "--max-epochs", "25", "--patience", "5", "--jobs", "1",
@@ -75,14 +77,15 @@ class TestSynthPrepare:
 
     def test_prepare_summary_and_dump(self, tmp_path, capsys):
         data, schema = synth(tmp_path)
-        dump = tmp_path / "encoded.csv"
+        out = tmp_path / "p"
         code = run_command([
             "prepare", "--data", str(data), "--schema", str(schema),
-            "--dump-encoded", str(dump),
+            "--out", str(out), "--dump-encoded",
         ])
         assert code == 0
         assert "240 usable records" in capsys.readouterr().out
-        rows = read_rows(dump)
+        assert sorted(p.name for p in out.iterdir()) == ["encoded.csv", "run_config.json"]
+        rows = read_rows(out / "encoded.csv")
         assert len(rows) == 241  # header + records
 
     def test_blank_lines_between_rows_are_skipped_and_not_counted(
@@ -94,10 +97,10 @@ class TestSynthPrepare:
         spaced.write_text("".join(line + "\n" for line in lines))
         dumps = []
         for name, path in (("plain", data), ("spaced", spaced)):
-            dumps.append(tmp_path / f"{name}-encoded.csv")
+            dumps.append(tmp_path / name / "encoded.csv")
             assert run_command([
                 "prepare", "--data", str(path), "--schema", str(schema),
-                "--dump-encoded", str(dumps[-1]),
+                "--out", str(tmp_path / name), "--dump-encoded",
             ]) == 0
         assert dumps[0].read_bytes() == dumps[1].read_bytes()
 
@@ -123,58 +126,37 @@ class TestSynthPrepare:
     def test_a_schema_the_data_cannot_follow_exits_3(
         self, tmp_path, capsys, edit, message
     ):
+        """Every reader refuses the schema, before any cell of the data."""
         data, schema = synth(tmp_path, n=60)
         schema.write_text(json.dumps(edit(json.loads(schema.read_text()))))
+        lines = data.read_text().splitlines(keepends=True)
+        row = lines[1].split(",")
+        row[2] = "heavy"  # demographic_1, a numeric column
+        lines[1] = ",".join(row)
+        data.write_text("".join(lines))
         capsys.readouterr()
-        assert run_command(["prepare", "--data", str(data), "--schema", str(schema)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
+        for argv in (["prepare", "--data", str(data)], ["profiles", "list"]):
+            assert run_command([*argv, "--schema", str(schema)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err, argv
 
-    @pytest.mark.parametrize("option", ["--data", "--schema"])
-    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
-    def test_dump_over_an_input_is_refused(
-        self, tmp_path, capsys, monkeypatch, option, spelling
+    @pytest.mark.parametrize("options, message", [
+        (["--n", "1"], "need n >= 2, got 1"),
+        (["--demographic", "-1"], "per-category feature counts must be non-negative"),
+        (["--rho", "1.5"], "rho must be in [-1, 1], got 1.5"),
+        (["--noise-std", "-1"], "noise_std must be non-negative"),
+        (["--demographic", "0", "--background", "0", "--phenotypic", "0"],
+         "spec leaves no visible features to generate a signal from"),
+        (["--noise-std", "nan"], "noise_std must be finite, got nan"),
+        (["--base-dose", "nan"], "base_dose must be finite, got nan"),
+        (["--base-dose", "inf"], "base_dose must be finite, got inf"),
+    ])
+    def test_a_spec_synth_refuses_exits_3_and_writes_nothing(
+        self, tmp_path, capsys, options, message
     ):
-        data, schema = synth(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        inputs = {"--data": "data/data.csv", "--schema": "data/schema.json"}
-        dump = {"same": inputs[option], "dotted": f"./{inputs[option]}",
-                "symlink": "link"}[spelling]
-        if spelling == "symlink":
-            Path("link").symlink_to(inputs[option])
-        before = (data.read_bytes(), schema.read_bytes())
-        capsys.readouterr()
-        argv = ["prepare", *(x for pair in inputs.items() for x in pair),
-                "--dump-encoded", dump]
-        assert run_command(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: --dump-encoded {dump} is the {option} file; "
-            "an input is never overwritten\n"
-        )
-        assert (data.read_bytes(), schema.read_bytes()) == before
-
-    @pytest.mark.parametrize("named_by", ["--out", "DOSEDISTILL_OUT"])
-    def test_dump_over_the_run_record_is_refused(
-        self, tmp_path, capsys, monkeypatch, named_by
-    ):
-        data, schema = synth(tmp_path)
-        out = tmp_path / "p"
-        monkeypatch.setenv("DOSEDISTILL_OUT", str(out))
-        argv = ["prepare", "--data", str(data), "--schema", str(schema),
-                "--dump-encoded", f"{out}/./run_config.json"]
-        if named_by == "--out":
-            monkeypatch.delenv("DOSEDISTILL_OUT")
-            argv += ["--out", str(out)]
-        capsys.readouterr()
-        assert run_command(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: --dump-encoded {out}/./run_config.json is the run record "
-            f"{out}/run_config.json\n"
-        )
+        out = tmp_path / "s"
+        assert run_command(["synth", "--n", "50", *options, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_a_failed_record_write_prints_no_success_line(self, tmp_path, capsys):
@@ -185,16 +167,6 @@ class TestSynthPrepare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out / 'run_config.json'}: ")
-
-    def test_dump_named_like_a_missing_input_is_a_plain_data_error(self, tmp_path, capsys):
-        data, schema = synth(tmp_path)
-        missing = str(tmp_path / "nope.csv")
-        capsys.readouterr()
-        assert run_command([
-            "prepare", "--data", missing, "--schema", str(schema), "--dump-encoded", missing,
-        ]) == 3
-        assert capsys.readouterr().err == f"error: data file not found: {missing}\n"
-        assert not Path(missing).exists()
 
     def test_prepare_missing_file_exits_3(self, tmp_path, capsys):
         code = run_command([
@@ -285,14 +257,15 @@ class TestSynthPrepare:
         assert expected in err and bad.name in err
 
     @pytest.mark.parametrize(
-        "target", ["out-is-a-file", "dump-in-missing-dir", "train-out-under-a-file"]
+        "target", ["out-is-a-file", "dump-out-under-a-file", "train-out-under-a-file"]
     )
     def test_unwritable_output_is_data_error(self, tmp_path, capsys, monkeypatch, target):
         """An output that cannot be made exits 3 and is named, with no traceback,
-        before any fitting starts."""
+        before any data is read or fitting starts."""
         data, schema = synth(tmp_path)
-        fits = []
-        monkeypatch.setattr(cli, "sweep_profiles", lambda *a, **k: fits.append(a))
+        work = []
+        monkeypatch.setattr(cli, "load_and_validate", lambda *a: work.append(a))
+        monkeypatch.setattr(cli, "sweep_profiles", lambda *a, **k: work.append(a))
         if target == "out-is-a-file":
             bad = tmp_path / "taken"
             bad.write_text("")
@@ -303,15 +276,16 @@ class TestSynthPrepare:
             argv = ["train", "--data", str(data), "--schema", str(schema),
                     "--out", str(bad)]
         else:
-            bad = tmp_path / "missing" / "encoded.csv"
+            (tmp_path / "taken").write_text("")
+            bad = tmp_path / "taken" / "p"
             argv = ["prepare", "--data", str(data), "--schema", str(schema),
-                    "--dump-encoded", str(bad)]
+                    "--out", str(bad), "--dump-encoded"]
         capsys.readouterr()
         assert run_command(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "error: cannot" in captured.err
         assert str(bad) in captured.err
-        assert fits == []
+        assert work == []
 
     @pytest.mark.parametrize(
         "grid",
@@ -339,7 +313,7 @@ NO_OUT = "error: no output directory: pass --out or set DOSEDISTILL_OUT\n"
 
 WRITING_COMMANDS = {
     "synth": ["--n", "60"],
-    "prepare": [],
+    "prepare": ["--dump-encoded"],
     "select-features": [],
     "train": ["--profile", "public", "--grid", "0", *FAST],
     "sweep": ["--profile", "public", "--grid", "0", *FAST],
@@ -354,8 +328,7 @@ def data_args(command, data, schema):
 class TestOutputDirectory:
     """Where a writing command writes: ``--out``, else ``DOSEDISTILL_OUT``."""
 
-    @pytest.mark.parametrize("command", ["synth", "select-features", "train", "sweep",
-                                         "evaluate"])
+    @pytest.mark.parametrize("command", WRITING_COMMANDS)
     def test_no_output_directory_is_a_data_error(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -421,6 +394,38 @@ class TestOutputDirectory:
         )
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", [[], ["ok"], ["ok", "ok/a"]])
+    def test_a_failed_mkdir_removes_only_the_directories_it_made(
+        self, tmp_path, capsys, monkeypatch, existing
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for name in existing:
+            Path(name).mkdir()
+        out = f"ok/a/{'x' * 300}/sub"
+        assert run_command(["synth", "--n", "60", "--out", out]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: cannot make output directory {out}: File name too long\n"
+        )
+        assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == existing
+
+    @pytest.mark.parametrize("command", WRITING_COMMANDS)
+    def test_every_file_a_command_writes_is_under_its_output_directory(
+        self, tmp_path, monkeypatch, command
+    ):
+        data, schema = synth(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv("DOSEDISTILL_OUT", raising=False)
+        before = set(tmp_path.rglob("*"))
+        argv = [command, *data_args(command, data, schema), "--out", "o",
+                *WRITING_COMMANDS[command]]
+        assert run_command(argv) == 0
+        made = set(tmp_path.rglob("*")) - before
+        assert made and all(p.is_relative_to(work / "o") for p in made)
+
     def test_prepare_writes_its_record_under_the_environment(
         self, tmp_path, monkeypatch
     ):
@@ -450,7 +455,7 @@ class TestOutputDirectory:
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
         assert json.loads((out / "run_config.json").read_text()) == {
             "command": "prepare", "data": str(data), "schema": str(schema),
-            "out": str(out), "dump_encoded": None,
+            "out": str(out), "dump_encoded": False,
         }
 
         fresh = tmp_path / "fresh"
@@ -509,6 +514,34 @@ def recorded_argv(record: dict) -> list[str]:
             argv += [x for v in (value if isinstance(value, list) else [value])
                      for x in (option, str(v))]
     return argv
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+@pytest.mark.parametrize("command, backed, count", [
+    ("synth", _field_defaults(SyntheticSpec), 9),
+    ("select-features", {"epsilon": DEFAULT_EPSILON, "folds": DEFAULT_FOLDS,
+                         "ratio": DistillationConfig.split_ratio}, 3),
+    *((command, _field_defaults(TrainConfig) | {"ratio": DistillationConfig.split_ratio}, 7)
+      for command in ("train", "sweep", "evaluate")),
+])
+def test_an_option_backed_by_a_config_field_takes_its_default_and_type(
+    command, backed, count
+):
+    """Unset, each option that sets a config field parses to the field's default."""
+    args = cli.build_parser().parse_args([command, *data_args(command, "d.csv", "s.json")])
+    options = backed.keys() & vars(args).keys()
+    assert len(options) == count
+    for name in options:
+        value = getattr(args, name)
+        assert (value, type(value)) == (backed[name], type(backed[name])), name
+    if command == "synth":
+        assert cli._config(SyntheticSpec, args) == SyntheticSpec()
+    elif command != "select-features":
+        assert cli._distill_config(args) == DistillationConfig()
+        assert cli._parse_grid("0:1:0.1") == DEFAULT_GRID
 
 
 def _enclosing_functions(node: ast.AST, where: str, match):
@@ -715,6 +748,20 @@ class TestTrainPredict:
         assert code == 2
         assert "usage error: max_epochs must be >= 1" in capsys.readouterr().err
         assert not (out / "pack.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "evaluate"])
+    @pytest.mark.parametrize("value", ["1", "1.5", "nan"])
+    def test_a_ratio_outside_the_unit_interval_is_refused_by_argparse(
+        self, tmp_path, capsys, command, value
+    ):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            run_command([command, "--data", "d.csv", "--schema", "s.json",
+                         "--out", str(out), "--ratio", value])
+        assert err.value.code == 2
+        assert (f"argument --ratio: must be a number in (0, 1), got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_train_public_writes_model_and_report(self, tmp_path):
         data, schema = synth(tmp_path)
@@ -1130,7 +1177,9 @@ class TestOnDemandLoader:
         assert captured.err == f"error: {loaded.value}\n"
         assert cli._last_on_demand is None
 
-    @pytest.mark.parametrize("schema_text", ["{not json", '{"features": []}'])
+    @pytest.mark.parametrize("schema_text", [
+        "{not json", '{"features": []}', '{"target": "y", "features": []}',
+    ])
     @pytest.mark.parametrize("body", [None, b"weight,race,weekly_dose_mg\n70,\xe9,30\n"])
     def test_a_bad_schema_is_reported_before_bad_data(
         self, tmp_path, capsys, monkeypatch, public_pack, schema_text, body

@@ -69,6 +69,17 @@ class TestSoftTargets:
             soft_targets(constant_model(1, 1.0), np.zeros((1, 1)), 0.0)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"lambda_grid": ()}, "lambda grid is empty"),
+    ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
+    ({"temperature": -1.0}, "temperature must be positive, got -1.0"),
+])
+def test_a_recipe_without_a_grid_or_a_positive_temperature_is_refused(changes, message):
+    with pytest.raises(ValueError) as err:
+        DistillationConfig(**changes)
+    assert str(err.value) == message
+
+
 class TestPrivileged:
     def test_public_profile_all_features_equals_plain_training(self, cohorts):
         catalog, train, _ = cohorts

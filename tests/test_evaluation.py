@@ -206,6 +206,12 @@ class TestRunStudy:
         for key in a:
             assert a[key] == b[key]
 
+    def test_no_runs_is_refused(self, dataset):
+        catalog, records = dataset
+        with pytest.raises(ValueError, match="need at least one run"):
+            run_study(records, catalog, default_catalog(catalog), self.fast_config(0),
+                      runs=0)
+
     def test_public_only_catalog_collapses_arms(self, dataset):
         catalog, records = dataset
         public_only = ProfileCatalog(default_catalog(catalog).profiles[:1])
