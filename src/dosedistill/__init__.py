@@ -37,7 +37,6 @@ from .errors import (
 from .evaluation import (
     STUDY_STATS,
     EvalReport,
-    SafetyPartition,
     evaluate_model,
     mean_std,
 )

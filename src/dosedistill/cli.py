@@ -354,8 +354,7 @@ def _cmd_sweep(args) -> str:
         out / "sweep.csv",
         ["profile", "lambda", "mae", "mape", "sw", "under", "over"],
         (
-            [name, f"{lam:g}", rep.mae, rep.mape, rep.safety.within_pct,
-             rep.safety.under_pct, rep.safety.over_pct]
+            [name, f"{lam:g}", rep.mae, rep.mape, rep.within_pct, rep.under_pct, rep.over_pct]
             for name, lam, rep in points
         ),
     )
@@ -437,7 +436,7 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
             raise DataError(f"feature {name!r}: {raw!r} is non-finite once standardized")
     if not values:
         raise DataError("disclosure is empty; pass --disclose name=value,...")
-    return Disclosure(frozenset(values), values)
+    return Disclosure(values)
 
 
 # (key, catalog, train, valid, teachers, {disclosed set: bundle}) of the last
@@ -484,10 +483,9 @@ def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config):
 def _cmd_predict(args) -> str:
     catalog, standardizer, bundles, config = serialize.load_pack(args.model)
     disclosure = _parse_disclosure(args.disclose, catalog, standardizer)
-    by_profile = {b.profile.name: b for b in bundles}
     try:
         profile, exact = best_feasible([b.profile for b in bundles], disclosure)
-        bundle = by_profile[profile.name]
+        bundle = next(b for b in bundles if b.profile is profile)
     except NoFeasibleProfileError:
         if not (args.data and args.schema):
             raise NoFeasibleProfileError(

@@ -287,6 +287,8 @@ def _parse_schema(schema_path: str | Path, text: str | None = None) -> dict:
     unit = schema.get("target_unit", "weekly")
     if unit not in ("weekly", "daily"):
         raise DataError(f"schema {path}: target_unit must be 'weekly' or 'daily'")
+    if not isinstance(schema.get("id"), (str, type(None))):
+        raise DataError(f"schema {path}: 'id' must be a string or null")
     return schema
 
 

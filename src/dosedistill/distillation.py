@@ -63,7 +63,7 @@ class DistillationConfig:
         grid = tuple(self.lambda_grid)
         if any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(set(grid)):
             raise ValueError("lambda grid must be strictly ascending within [0, 1]")
-        if self.temperature <= 0:
+        if not 0 < self.temperature < np.inf:  # refuses nan and inf too
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
     def split(self, records: EncodedRows, catalog: FeatureCatalog) -> tuple[Cohort, Cohort]:
@@ -91,7 +91,7 @@ def train_privileged(
 
 def soft_targets(privileged: MlpModel, X_priv, temperature: float) -> np.ndarray:
     """Privileged predictions scaled down by the temperature."""
-    if temperature <= 0:
+    if not 0 < temperature < np.inf:  # refuses nan and inf too
         raise ValueError(f"temperature must be positive, got {temperature}")
     return privileged.predict(X_priv) / temperature
 

@@ -2,7 +2,8 @@
 
 The safety window accepts a predicted weekly dose within 20% of the
 clinically deduced one, boundary inclusive. Above it is an over-prescription
-(bleeding risk); below it an under-prescription (clot/stroke risk).
+(bleeding risk); below it an under-prescription (clot/stroke risk). An
+``EvalReport`` holds the three counts; its size and percentages derive from them.
 """
 
 from __future__ import annotations
@@ -27,12 +28,19 @@ RISK_LABELS = {
 
 
 @dataclass(frozen=True)
-class SafetyPartition:
-    """Counts of under / within-window / over predictions."""
+class EvalReport:
+    """MAE (mg/week), MAPE (%), and the counts of under / within-window / over
+    predictions of one evaluation."""
 
+    mae: float
+    mape: float
     under: int
     within: int
     over: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("a report must count at least one prediction")
 
     @property
     def n(self) -> int:
@@ -51,22 +59,8 @@ class SafetyPartition:
         return 100.0 * self.over / self.n
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """MAE (mg/week), MAPE (%), and the safety partition of one evaluation."""
-
-    mae: float
-    mape: float
-    n: int
-    safety: SafetyPartition
-
-    def __post_init__(self):
-        if self.n < 1 or self.safety.n != self.n:
-            raise ValueError("report size and safety counts disagree")
-
-
 def evaluate_predictions(preds, truths) -> EvalReport:
-    """MAE, MAPE and the safety partition of paired 1-D predictions and truths.
+    """MAE, MAPE and the safety-window counts of paired 1-D predictions and truths.
 
     Every true dose must be positive; a prediction exactly 0.8x or 1.2x its
     truth is within the window.
@@ -82,9 +76,8 @@ def evaluate_predictions(preds, truths) -> EvalReport:
     abs_err = np.abs(preds - truths)
     under = int(np.count_nonzero(preds < SAFETY_MARGIN_LOW * truths))
     over = int(np.count_nonzero(preds > SAFETY_MARGIN_HIGH * truths))
-    safety = SafetyPartition(under, len(preds) - under - over, over)
     mape = float(100.0 * np.mean(abs_err / truths))
-    return EvalReport(float(np.mean(abs_err)), mape, len(preds), safety)
+    return EvalReport(float(np.mean(abs_err)), mape, under, len(preds) - under - over, over)
 
 
 def evaluate_model(model, valid: Cohort, profile: Profile) -> EvalReport:
@@ -103,9 +96,9 @@ def evaluate_model(model, valid: Cohort, profile: Profile) -> EvalReport:
 STUDY_STATS = {
     "mae": lambda r: r.mae,
     "mape": lambda r: r.mape,
-    "under": lambda r: r.safety.under_pct,
-    "within": lambda r: r.safety.within_pct,
-    "over": lambda r: r.safety.over_pct,
+    "under": lambda r: r.under_pct,
+    "within": lambda r: r.within_pct,
+    "over": lambda r: r.over_pct,
 }
 
 

@@ -127,16 +127,18 @@ def default_catalog(catalog: FeatureCatalog) -> ProfileCatalog:
 
 @dataclass(frozen=True)
 class Disclosure:
-    """What a new patient chose to reveal: indices and their raw values."""
+    """What a new patient chose to reveal: values keyed by feature index.
+    ``disclosed``, the set of those indices, derives from ``values``."""
 
-    disclosed: frozenset[int]
     values: Mapping[int, float]
 
     def __post_init__(self):
-        if not self.disclosed:
+        if not self.values:
             raise DataError("a disclosure must reveal at least one feature")
-        if set(self.values) != set(self.disclosed):
-            raise DataError("disclosure values must cover exactly the disclosed set")
+
+    @cached_property
+    def disclosed(self) -> frozenset[int]:
+        return frozenset(self.values)
 
 
 def best_feasible(

@@ -22,7 +22,7 @@ from .dataset import load_json, save_json  # re-exported: callers use serialize'
 from .dataset import load_text, parse_json
 from .distillation import DistillationConfig, DistilledBundle, PrivilegedInputs
 from .errors import DataError
-from .evaluation import EvalReport, SafetyPartition
+from .evaluation import EvalReport
 from .models import MlpModel, TrainConfig
 from .profiles import Profile
 
@@ -43,14 +43,6 @@ def decode_array(obj: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
 
 
-def encode_scalar(v: float) -> str:
-    return float(v).hex()
-
-
-def decode_scalar(s: str) -> float:
-    return float.fromhex(s)
-
-
 def model_to_obj(model: MlpModel) -> dict:
     return {
         "kind": "mlp",
@@ -59,7 +51,7 @@ def model_to_obj(model: MlpModel) -> dict:
         "W1": encode_array(model.W1),
         "b1": encode_array(model.b1),
         "w2": encode_array(model.w2),
-        "b2": encode_scalar(model.b2),
+        "b2": float(model.b2).hex(),
     }
 
 
@@ -70,7 +62,7 @@ def model_from_obj(obj: dict) -> MlpModel:
             decode_array(obj["W1"]),
             decode_array(obj["b1"]),
             decode_array(obj["w2"]),
-            decode_scalar(obj["b2"]),
+            float.fromhex(obj["b2"]),
         )
     raise DataError(f"unknown model kind {kind!r}")
 
@@ -140,24 +132,21 @@ def report_to_obj(report) -> dict:
         "mape": report.mape,
         "n": report.n,
         "safety": {
-            "under": report.safety.under,
-            "within": report.safety.within,
-            "over": report.safety.over,
-            "under_pct": report.safety.under_pct,
-            "within_pct": report.safety.within_pct,
-            "over_pct": report.safety.over_pct,
+            "under": report.under,
+            "within": report.within,
+            "over": report.over,
+            "under_pct": report.under_pct,
+            "within_pct": report.within_pct,
+            "over_pct": report.over_pct,
         },
     }
 
 
 def report_from_obj(obj: dict) -> EvalReport:
+    """The report in ``obj``. Its ``n`` and percentages are not read:
+    ``pack_from_obj`` checks them by encoding the report again."""
     s = obj["safety"]
-    return EvalReport(
-        obj["mae"],
-        obj["mape"],
-        obj["n"],
-        SafetyPartition(s["under"], s["within"], s["over"]),
-    )
+    return EvalReport(obj["mae"], obj["mape"], s["under"], s["within"], s["over"])
 
 
 def bundle_to_obj(bundle: DistilledBundle) -> dict:

@@ -5,6 +5,7 @@ real-data export supplied via DOSEDISTILL_IWPC_DATA / DOSEDISTILL_IWPC_SCHEMA
 and is reported as skipped otherwise.
 """
 
+import hashlib
 import os
 import time
 from contextlib import contextmanager
@@ -98,7 +99,7 @@ def test_criterion_4_safety_partition_totality():
         rng = np.random.default_rng(99)
         # row i is (truth_i, pred_i): the draws a per-pair loop would make
         truths, preds = rng.uniform([0.01, -50.0], [150.0, 250.0], size=(10_000, 2)).T
-        safety = evaluate_predictions(preds, truths).safety
+        safety = evaluate_predictions(preds, truths)
         under = preds < 0.8 * truths
         within = (preds >= 0.8 * truths) & (preds <= 1.2 * truths)
         over = preds > 1.2 * truths
@@ -108,7 +109,7 @@ def test_criterion_4_safety_partition_totality():
         assert safety.under + safety.within + safety.over == 10_000
         truths = rng.uniform(0.01, 150.0, 200)
         for factor in (0.8, 1.2):
-            assert evaluate_predictions(factor * truths, truths).safety.within == 200
+            assert evaluate_predictions(factor * truths, truths).within == 200
 
 
 AC5_SPEC = SyntheticSpec(
@@ -288,8 +289,18 @@ def test_criterion_8_real_data_reproduction():
             assert distilled <= partial, name
 
 
+# The pipeline's outputs, pinned: a change to any of these bytes must be
+# deliberate, and must update the pin with its reason.
+CRITERION_9_SHA256 = {
+    "d/data.csv": "523616d03a3a2c8e5dfd571fba1d4bf8d662f29a99d99a9394a5bde94cd6efeb",
+    "d/schema.json": "93e7de6f916a8b07f7ba00112568b4e9bdec9378561831266b32eef2b588c523",
+    "m/pack.json": "64a05d16007a3d072fc71f2012717036115f084fc234c524f963a1fb91d04950",
+    "m/report.json": "89155816a962faa84c305c3ee17534ab9e6424f6a6302499e555b1156fb12036",
+}
+
+
 def test_criterion_9_pipeline_determinism_and_runtime(tmp_path):
-    with criterion(9, "full pipeline is byte-identical across reruns, < 5 min"):
+    with criterion(9, "pipeline is byte-identical across reruns and to its pins, < 5 min"):
         elapsed = []
         for name in ("first", "second"):
             base = tmp_path / name
@@ -307,8 +318,9 @@ def test_criterion_9_pipeline_determinism_and_runtime(tmp_path):
                 "--jobs", "1",
             ]) == 0
             elapsed.append(time.monotonic() - start)
-        for fname in ("d/data.csv", "d/schema.json", "m/pack.json", "m/report.json"):
+        for fname, sha256 in CRITERION_9_SHA256.items():
             first = (tmp_path / "first" / fname).read_bytes()
             second = (tmp_path / "second" / fname).read_bytes()
             assert first == second, f"{fname} differs between reruns"
+            assert hashlib.sha256(first).hexdigest() == sha256, f"{fname} changed bytes"
         assert max(elapsed) < 300.0, f"pipeline took {max(elapsed):.0f}s"

@@ -30,7 +30,13 @@ from dosedistill.errors import DataError, TrainingDivergedError
 from dosedistill.feature_selection import DEFAULT_EPSILON, DEFAULT_FOLDS
 from dosedistill.models import MlpModel, TrainConfig
 from dosedistill.profiles import Disclosure, train_on_demand
-from dosedistill.serialize import load_pack, pack_from_obj, pack_to_obj, save_json
+from dosedistill.serialize import (
+    config_digest,
+    load_pack,
+    pack_from_obj,
+    pack_to_obj,
+    save_json,
+)
 from dosedistill.synthetic import SyntheticSpec
 
 FAST = [
@@ -122,7 +128,12 @@ class TestSynthPrepare:
          "target column 'weekly_dose_mg' also declared as a feature"),
         (lambda obj: obj | {"features": [*obj["features"], obj["features"][1]]},
          "duplicate feature names: ['demographic_1']"),
-    ], ids=["monthly-unit", "target-as-feature", "duplicate-feature"])
+        (lambda obj: obj | {"id": ["x"]}, "'id' must be a string or null"),
+        (lambda obj: obj | {"id": {"a": 1}}, "'id' must be a string or null"),
+        (lambda obj: obj | {"id": 5}, "'id' must be a string or null"),
+        (lambda obj: obj | {"id": True}, "'id' must be a string or null"),
+    ], ids=["monthly-unit", "target-as-feature", "duplicate-feature",
+            "id-list", "id-object", "id-number", "id-true"])
     def test_a_schema_the_data_cannot_follow_exits_3(
         self, tmp_path, capsys, edit, message
     ):
@@ -763,6 +774,40 @@ class TestTrainPredict:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_a_repeated_profile_name_is_served_by_the_bundle_it_assigns(
+        self, tmp_path, capsys
+    ):
+        """Of two bundles with one profile name, assignment picks the first, and
+        the first serves the dose, though the second predicts 1000 mg more."""
+        data, schema = synth(tmp_path)
+        out = tmp_path / "m"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema), "--out", str(out),
+            "--profile", "public", "--profile", "Public patient", "--grid", "0", *FAST,
+        ]) == 0
+        obj = json.loads((out / "pack.json").read_text())
+        assert [b["profile"]["name"] for b in obj["bundles"]] == ["Public patient"] * 2
+        second = obj["bundles"][1]["distilled"]
+        second["b2"] = (float.fromhex(second["b2"]) + 1000.0).hex()
+        del obj["digest"]
+        obj["digest"] = config_digest(obj)
+        save_json(out / "pack.json", obj)
+        catalog, standardizer, bundles, _ = pack_from_obj(obj)
+        header, first = read_rows(data)[:2]
+        pairs = ",".join(
+            f"{col}={value}" for col, value in zip(header, first)
+            if col not in ("patient_id", "weekly_dose_mg")
+        )
+        values = _parse_disclosure(pairs, catalog, standardizer).values
+        dose = float(bundles[0].distilled.predict([[values[i] for i in sorted(values)]])[0])
+        capsys.readouterr()
+        assert run_command(["predict", "--model", str(out / "pack.json"),
+                            "--disclose", pairs]) == 0
+        assert capsys.readouterr().out == (
+            "profile: Public patient (exact match)\n"
+            f"predicted weekly dose: {dose:.2f} mg/week\n"
+        )
+
     def test_train_public_writes_model_and_report(self, tmp_path):
         data, schema = synth(tmp_path)
         out = tmp_path / "m"
@@ -944,7 +989,7 @@ class TestTrainPredict:
         )
         _, standardizer, _, _ = pack_from_obj(json.loads(pack.read_text()))
         x = (0.3 - standardizer.means[1]) / standardizer.stds[1]
-        bundle = train_on_demand(train, valid, Disclosure(frozenset({1}), {1: x}), config)
+        bundle = train_on_demand(train, valid, Disclosure({1: x}), config)
         dose = float(bundle.distilled.predict([[x]])[0])
         assert f"predicted weekly dose: {dose:.2f} mg/week" in printed
 
@@ -1179,6 +1224,8 @@ class TestOnDemandLoader:
 
     @pytest.mark.parametrize("schema_text", [
         "{not json", '{"features": []}', '{"target": "y", "features": []}',
+        '{"id": ["x"], "target": "y", '
+        '"features": [{"name": "w", "category": "background", "kind": "numeric"}]}',
     ])
     @pytest.mark.parametrize("body", [None, b"weight,race,weekly_dose_mg\n70,\xe9,30\n"])
     def test_a_bad_schema_is_reported_before_bad_data(

@@ -65,14 +65,17 @@ class TestSoftTargets:
         )  # relu kills the negative input
 
     def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            soft_targets(constant_model(1, 1.0), np.zeros((1, 1)), 0.0)
+        for temperature in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"got {temperature}"):
+                soft_targets(constant_model(1, 1.0), np.zeros((1, 1)), temperature)
 
 
 @pytest.mark.parametrize("changes, message", [
     ({"lambda_grid": ()}, "lambda grid is empty"),
     ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
     ({"temperature": -1.0}, "temperature must be positive, got -1.0"),
+    ({"temperature": float("nan")}, "temperature must be positive, got nan"),
+    ({"temperature": float("inf")}, "temperature must be positive, got inf"),
 ])
 def test_a_recipe_without_a_grid_or_a_positive_temperature_is_refused(changes, message):
     with pytest.raises(ValueError) as err:

@@ -14,7 +14,7 @@ from dosedistill.dataset import load_and_validate
 from dosedistill.distillation import DistillationConfig, run_study, train_distilled
 from dosedistill.evaluation import (
     STUDY_STATS,
-    SafetyPartition,
+    EvalReport,
     evaluate_model,
     evaluate_predictions,
     mean_std,
@@ -28,8 +28,8 @@ from conftest import make_cohort, write_synth
 
 def band(pred: float, truth: float) -> str:
     """The one safety band the scorer puts a single prediction in."""
-    s = evaluate_predictions([pred], [truth]).safety
-    [name] = [n for n in ("under", "within", "over") if getattr(s, n)]
+    report = evaluate_predictions([pred], [truth])
+    [name] = [n for n in ("under", "within", "over") if getattr(report, n)]
     return name
 
 
@@ -108,8 +108,8 @@ class TestClassifyDose:
     def test_boundaries_classify_within(self):
         rng = np.random.default_rng(1)
         truths = rng.uniform(0.01, 200.0, 500)
-        assert evaluate_predictions(1.2 * truths, truths).safety.within == 500
-        assert evaluate_predictions(0.8 * truths, truths).safety.within == 500
+        assert evaluate_predictions(1.2 * truths, truths).within == 500
+        assert evaluate_predictions(0.8 * truths, truths).within == 500
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -125,7 +125,7 @@ class TestClassifyDose:
 
 class TestSafetyPartition:
     def test_counts_and_percentages(self):
-        part = SafetyPartition(under=1, within=2, over=1)
+        part = EvalReport(mae=0.0, mape=0.0, under=1, within=2, over=1)
         assert part.n == 4
         assert part.under_pct + part.within_pct + part.over_pct == pytest.approx(
             100.0, abs=1e-9
@@ -135,9 +135,7 @@ class TestSafetyPartition:
         preds = np.array([10.0, 35.0, 50.0])
         truths = np.array([35.0, 35.0, 35.0])
         report = evaluate_predictions(preds, truths)
-        assert (report.safety.under, report.safety.within, report.safety.over) == (
-            1, 1, 1,
-        )
+        assert (report.under, report.within, report.over) == (1, 1, 1)
         assert report.n == 3
 
 
@@ -156,7 +154,7 @@ class TestEvaluateModel:
         model = fit_least_squares(cohort.X, cohort.y)
         report = evaluate_model(model, cohort, two_feature_profile())
         assert report.mae == pytest.approx(0.0, abs=1e-6)
-        assert report.safety.within_pct == 100.0
+        assert report.within_pct == 100.0
 
     def test_constant_overdoser(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.9]])
@@ -164,7 +162,7 @@ class TestEvaluateModel:
         cohort = make_cohort(X, np.full(4, truth))
         model = LinearModel(np.zeros(2), 1.3 * truth)
         report = evaluate_model(model, cohort, two_feature_profile())
-        assert report.safety.over_pct == 100.0
+        assert report.over_pct == 100.0
 
     def test_single_record_equals_pointwise(self):
         X = np.array([[0.3, 1.0], [0.7, -1.0]])
@@ -174,7 +172,7 @@ class TestEvaluateModel:
         assert report.n == 1
         assert report.mae == pytest.approx(4.0)
         assert report.mape == pytest.approx(10.0)
-        assert report.safety.within == 1
+        assert report.within == 1
 
     def test_dimension_mismatch(self):
         cohort = make_cohort(np.eye(3), [30.0, 40.0, 50.0])

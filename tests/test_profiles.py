@@ -43,7 +43,7 @@ def warf_catalog():
 
 
 def disclosure_of(indices):
-    return Disclosure(frozenset(indices), {i: 0.0 for i in indices})
+    return Disclosure({i: 0.0 for i in indices})
 
 
 class TestDefaultCatalog:
@@ -130,11 +130,7 @@ class TestAssignment:
 
     def test_empty_disclosure_rejected(self):
         with pytest.raises(DataError):
-            Disclosure(frozenset(), {})
-
-    def test_values_must_match_disclosed(self):
-        with pytest.raises(DataError):
-            Disclosure(frozenset({1}), {2: 0.0})
+            Disclosure({})
 
 
 @settings(max_examples=200, deadline=None)

@@ -145,6 +145,22 @@ def test_pack_with_an_out_of_range_recipe_is_data_error(trained, ratio):
         pack_from_obj(obj)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda metrics: metrics.update(n=metrics["n"] + 1),
+    lambda metrics: metrics["safety"].update(under=0, within=0, over=0),
+], ids=["n-disagrees-with-counts", "all-counts-zero"])
+def test_pack_with_report_counts_no_evaluation_gives_is_data_error(trained, edit):
+    """A report's size is its counts' sum, and at least one, even under a
+    valid digest."""
+    catalog, train, bundle, config = trained
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
+    edit(obj["bundles"][0]["metrics"])
+    del obj["digest"]
+    obj["digest"] = config_digest(obj)
+    with pytest.raises(DataError, match="malformed model pack"):
+        pack_from_obj(obj)
+
+
 def test_load_pack_gives_each_thread_the_decode_of_the_file_it_read(trained, tmp_path):
     """Threads alternating two packs share one kept decode; none may be
     served the other file's decode when the kept one is replaced under it."""
