@@ -216,8 +216,8 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    default=DistillationConfig.privileged_inputs.value,
                    choices=[m.value for m in PrivilegedInputs])
     p.add_argument("--jobs", type=_whole_number(1), default=None,
-                   help="worker processes that sweep profiles side by side, at most "
-                   "one per profile; outputs do not depend on it "
+                   help="worker processes that share out the profiles' models, at "
+                   "most one per model; outputs do not depend on it "
                    "(default: the usable CPUs)")
 
 

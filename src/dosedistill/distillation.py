@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -149,39 +150,17 @@ def sweep_lambda(
     config: DistillationConfig,
     privileged: MlpModel,
 ) -> tuple[list[tuple[float, EvalReport]], DistilledBundle]:
-    """Train one model per grid value against a shared privileged model.
+    """Train one model per grid value against a shared privileged model:
+    ``sweep_profiles`` for one profile, with ``privileged`` as its teacher.
 
-    ``privileged`` is the teacher for this profile, as ``sweep_profiles``
-    picks it. The blended objective is plain squared error against
-    (1 - lambda) * y + lambda * s, so the grid's models differ only in their
-    targets: they share the visible features, the seed, the initialization,
-    the hold-out split and every shuffle. The grid therefore trains as one
-    stack (``train_mlp_stack``), one row of targets per lambda, and each
-    model is bit for bit the one ``train_distilled`` returns at that lambda.
-
-    Returns every (lambda, validation report) point in grid order plus the
-    bundle with the lowest validation MAE; ties go to the smaller lambda. The
-    lambda = 0 point doubles as the partially-redacted baseline.
+    Each model is bit for bit the one ``train_distilled`` returns at its
+    lambda. Returns every (lambda, validation report) point in grid order
+    plus the bundle with the lowest validation MAE; ties go to the smaller
+    lambda. The lambda = 0 point doubles as the partially-redacted baseline.
     """
-    grid = config.lambda_grid
-    s = _soft_targets(train, profile, privileged, config)
-    targets = np.stack([_blend(train.y, s, lam) for lam in grid])
-    models = train_mlp_stack(
-        train.X[:, list(profile.visible_features)], targets, config.train
-    )
-    rows = [
-        (lam, model, evaluate_model(model, valid, profile))
-        for lam, model in zip(grid, models)
-    ]
-
-    best_lam, best_model, best_report = min(rows, key=lambda r: (r[2].mae, r[0]))
-    bundle = DistilledBundle(profile, best_model, best_lam, best_report)
-    return [(lam, rep) for lam, _, rep in rows], bundle
-
-
-def _sweep_task(task: tuple) -> tuple[list[tuple[float, EvalReport]], DistilledBundle]:
-    """One profile's sweep; module level, so a pool worker can unpickle it."""
-    return sweep_lambda(*task)
+    cols = privileged_feature_indices(profile, config.privileged_inputs)
+    [result] = sweep_profiles(train, valid, [profile], config, {cols: privileged})
+    return result
 
 
 def sweep_profiles(
@@ -192,8 +171,8 @@ def sweep_profiles(
     teachers: dict | None = None,
     jobs: int = 1,
 ) -> list[tuple[list[tuple[float, EvalReport]], DistilledBundle]]:
-    """``sweep_lambda`` for each profile, one teacher per column set, with
-    results in profile order.
+    """Every profile's lambda sweep, one teacher per column set, with results
+    in profile order, each as ``sweep_lambda`` describes.
 
     A teacher depends only on the training rows, its columns
     (``privileged_feature_indices``) and ``config.train``, so each distinct
@@ -201,26 +180,58 @@ def sweep_profiles(
     seed it with models fitted on the same ``train`` and ``config.train``,
     keyed by their column tuples.
 
-    The teachers are fitted here first. The sweeps depend only on their own
-    profile and teacher, so with ``jobs > 1`` they run in a pool of up to
-    ``jobs`` worker processes (never more than there are profiles), handed
-    out one profile at a time; the results are the same bit for bit.
+    The blended objective is plain squared error against
+    (1 - lambda) * y + lambda * s, so the students differ only in their
+    targets and their visible columns: they share the rows, the seed, the
+    hold-out split and every shuffle. So after the teachers, the flat
+    (profile, lambda) list of students is dealt round-robin to
+    ``min(jobs, students)`` workers, and each trains its share as one
+    ``train_mlp_stack``, grouped by profile; one worker runs in this
+    process, more in a pool of worker processes. Each student is bit for
+    bit the one a lone ``train_mlp`` on its columns and targets returns.
+    The students are then scored here and each profile's best is picked.
     """
     teachers = {} if teachers is None else teachers
-    tasks = []
-    for profile in profiles:
+    grid, n = config.lambda_grid, len(train.y)
+    targets = np.empty((len(profiles), len(grid), n))
+    columns = []
+    for i, profile in enumerate(profiles):
         cols = privileged_feature_indices(profile, config.privileged_inputs)
         if cols not in teachers:
             teachers[cols] = train_privileged(train, profile, config)
-        tasks.append((train, valid, profile, config, teachers[cols]))
-    workers = min(jobs, len(tasks))
+        s = _soft_targets(train, profile, teachers[cols], config)
+        targets[i] = [_blend(train.y, s, lam) for lam in grid]
+        columns += [profile.visible_features] * len(grid)
+    targets = targets.reshape(-1, n)  # one row per (profile, lambda)
+    workers = min(jobs, len(targets))
+    shares = (
+        repeat(train.X),
+        [targets[w::workers] for w in range(workers)],
+        repeat(config.train),
+        [columns[w::workers] for w in range(workers)],
+    )
     if workers <= 1:
-        return list(map(_sweep_task, tasks))
-    # imported here: a process that never fans out does not load the pool
-    from concurrent.futures import ProcessPoolExecutor
+        trained = list(map(train_mlp_stack, *shares))
+    else:
+        # imported here: a process that never fans out does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_task, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trained = list(pool.map(train_mlp_stack, *shares))
+    students = [None] * len(targets)
+    for w, models in enumerate(trained):
+        students[w::workers] = models
+
+    results = []
+    for i, profile in enumerate(profiles):
+        rows = [
+            (lam, model, evaluate_model(model, valid, profile))
+            for lam, model in zip(grid, students[i * len(grid) : (i + 1) * len(grid)])
+        ]
+        best_lam, best_model, best_report = min(rows, key=lambda r: (r[2].mae, r[0]))
+        bundle = DistilledBundle(profile, best_model, best_lam, best_report)
+        results.append(([(lam, rep) for lam, _, rep in rows], bundle))
+    return results
 
 
 def run_study(

@@ -39,6 +39,8 @@ class EvalReport:
     over: int
 
     def __post_init__(self):
+        if min(self.under, self.within, self.over) < 0:
+            raise ValueError("a report cannot count below 0")
         if self.n < 1:
             raise ValueError("a report must count at least one prediction")
 

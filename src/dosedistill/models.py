@@ -7,16 +7,19 @@ deterministic shuffling and early stopping on a held-out slice of the
 training rows. Every training run is a pure function of (data, config).
 
 There is one training kernel, ``train_mlp_stack``: it trains K models on the
-same rows and config at once, one per target vector, as a ``(K, P)``
-parameter stack. Nothing but the targets tells the K runs apart, and Adam is
-elementwise, so each member is bit for bit the model a lone run returns.
-``train_mlp`` is its K = 1 case, and ``mlp_gradient`` reads the same
-backward pass.
+same rows and config at once, one per target vector, each on its own list of
+columns, as one flat parameter stack. Members that read the same columns
+form a group, which runs its first-layer products at its own width; every
+other operation runs once over the whole stack. Nothing but the targets and
+the columns tells the K runs apart, and Adam is elementwise, so each member
+is bit for bit the model a lone run returns. ``train_mlp`` is its K = 1
+case, and ``mlp_gradient`` reads the same backward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -148,41 +151,68 @@ class MlpGradients:
 
 
 class _Flat:
-    """K parameter sets (or their gradients) in one ``(K, P)`` buffer.
+    """The parameter sets (or gradients) of K members in one flat buffer.
 
-    ``W1`` (K, hidden, d), ``b1`` (K, hidden), ``w2`` (K, hidden) and ``b2``
-    (K,) are views into ``buf``, so one ufunc call on ``buf`` touches every
-    parameter of every member.
+    The members come in groups that read the same columns: group j holds
+    ``counts[j]`` members of ``widths[j]`` inputs, and ``W1[j]``
+    (counts[j], hidden, widths[j]) is their first layer. ``b1`` (K, hidden),
+    ``w2`` (K, hidden) and ``b2`` (K,) hold every member's other parameters
+    in group order. All are views into ``buf``, so one ufunc call on ``buf``
+    touches every parameter of every member.
     """
 
-    def __init__(self, buf: np.ndarray, hidden: int, d: int):
-        hd = hidden * d
-        self.buf = buf
-        self.W1 = buf[:, :hd].reshape(len(buf), hidden, d)
-        self.b1 = buf[:, hd : hd + hidden]
-        self.w2 = buf[:, hd + hidden : hd + 2 * hidden]
-        self.b2 = buf[:, -1]
+    def __init__(self, buf: np.ndarray, hidden: int, widths: list[int], counts: list[int]):
+        self.buf, self.hidden, self.widths, self.counts = buf, hidden, widths, counts
+        self.W1, self.bounds, at, first = [], [], 0, 0
+        for d, k in zip(widths, counts):
+            self.W1.append(buf[at : at + k * hidden * d].reshape(k, hidden, d))
+            self.bounds.append((first, first + k))
+            at, first = at + k * hidden * d, first + k
+        self.b1 = buf[at : at + first * hidden].reshape(first, hidden)
+        self.w2 = buf[at + first * hidden : at + 2 * first * hidden].reshape(first, hidden)
+        self.b2 = buf[at + 2 * first * hidden :]
 
     @classmethod
-    def stack(cls, model: MlpModel, k: int) -> "_Flat":
-        """``k`` copies of ``model`` as rows of a fresh buffer."""
-        row = np.concatenate([model.W1.ravel(), model.b1, model.w2, [model.b2]])
-        return cls(np.tile(row, (k, 1)), model.hidden, model.dim)
+    def stack(cls, models: list[MlpModel], counts: list[int]) -> "_Flat":
+        """``counts[j]`` copies of ``models[j]`` for each j, in a fresh buffer."""
+        parts = [np.tile(m.W1.ravel(), k) for m, k in zip(models, counts)]
+        for part in ("b1", "w2"):
+            parts += [np.tile(getattr(m, part), k) for m, k in zip(models, counts)]
+        parts += [np.full(k, m.b2) for m, k in zip(models, counts)]
+        widths = [m.dim for m in models]
+        return cls(np.concatenate(parts), models[0].hidden, widths, counts)
 
     def like(self, buf: np.ndarray) -> "_Flat":
-        return _Flat(buf, self.W1.shape[1], self.W1.shape[2])
+        return _Flat(buf, self.hidden, self.widths, self.counts)
 
-    def model(self, k: int, offset: float) -> MlpModel:
-        """Member ``k`` as a stand-alone model, ``offset`` added to its bias."""
-        return MlpModel(
-            self.W1[k].copy(), self.b1[k].copy(), self.w2[k].copy(),
-            float(self.b2[k]) + float(offset),
-        )
+    def owners(self) -> np.ndarray:
+        """The member each element of ``buf`` belongs to."""
+        K = len(self.b2)
+        W1 = [np.repeat(np.arange(a, b), self.hidden * d)
+              for (a, b), d in zip(self.bounds, self.widths)]
+        per_unit = np.repeat(np.arange(K), self.hidden)
+        return np.concatenate([*W1, per_unit, per_unit, np.arange(K)])
+
+    def kept(self, keep: np.ndarray, buf: np.ndarray) -> "_Flat":
+        """The members where ``keep`` is true, from ``buf``, which holds only
+        them but is laid out as this; a group left with none goes."""
+        counts = [int(np.count_nonzero(keep[a:b])) for a, b in self.bounds]
+        widths = [d for d, k in zip(self.widths, counts) if k]
+        return _Flat(buf, self.hidden, widths, [k for k in counts if k])
+
+    def member(self, k: int) -> tuple:
+        """Member ``k``'s ``(W1, b1, w2, b2)``, copied out of the buffer."""
+        for W1, (a, b) in zip(self.W1, self.bounds):
+            if k < b:
+                break
+        return W1[k - a].copy(), self.b1[k].copy(), self.w2[k].copy(), float(self.b2[k])
 
 
-def _forward(p: _Flat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden units (K, n, hidden) and predictions (K, n)."""
-    h = np.matmul(X, p.W1.transpose(0, 2, 1))
+def _forward(p: _Flat, Xs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden units (K, n, hidden) and predictions (K, n); group j reads ``Xs[j]``."""
+    h = np.empty((len(p.b2), len(Xs[0]), p.hidden))
+    for W1, (a, b), X in zip(p.W1, p.bounds, Xs):
+        np.matmul(X, W1.transpose(0, 2, 1), out=h[a:b])
     h += p.b1[:, None, :]
     np.maximum(h, 0.0, out=h)
     pred = np.matmul(h, p.w2[:, :, None])[:, :, 0]
@@ -190,15 +220,16 @@ def _forward(p: _Flat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, pred
 
 
-def _backprop(p: _Flat, X: np.ndarray, T: np.ndarray, g: _Flat) -> np.ndarray:
+def _backprop(p: _Flat, Xs: list[np.ndarray], T: np.ndarray, g: _Flat) -> np.ndarray:
     """Batch MSE of member k against ``T[k]``, its exact gradient into ``g``.
 
     Returns the K losses. ReLU derivative at 0 is 0. Every product is one
-    BLAS call per member (``matmul`` over the stack) and every sum runs along
-    one member's axis, so member k's numbers are those of a lone K = 1 call.
+    BLAS call per member (``matmul`` over a group, or over the stack once
+    the columns are read) and every sum runs along one member's axis, so
+    member k's numbers are those of a lone K = 1 call.
     """
-    n = X.shape[0]
-    h, err = _forward(p, X)
+    n = T.shape[1]
+    h, err = _forward(p, Xs)
     err -= T
     loss = np.einsum("kn,kn->k", err, err) / n
     err *= 2.0 / n
@@ -208,7 +239,8 @@ def _backprop(p: _Flat, X: np.ndarray, T: np.ndarray, g: _Flat) -> np.ndarray:
     dh = np.multiply(err[:, :, None], p.w2[:, None, :], out=h)  # h is spent
     dh *= active
     np.add.reduce(dh, axis=1, out=g.b1)
-    np.matmul(dh.transpose(0, 2, 1), X, out=g.W1)
+    for W1, (a, b), X in zip(g.W1, g.bounds, Xs):
+        np.matmul(dh[a:b].transpose(0, 2, 1), X, out=W1)
     return loss
 
 
@@ -225,9 +257,9 @@ def mlp_gradient(model: MlpModel, X, targets) -> MlpGradients:
         raise ValueError(f"model takes {model.dim} features, got {X.shape[1]}")
     if targets.shape != (X.shape[0],):
         raise ValueError(f"targets shape {targets.shape} != ({X.shape[0]},)")
-    p = _Flat.stack(model, 1)
+    p = _Flat.stack([model], [1])
     g = p.like(np.empty_like(p.buf))
-    _backprop(p, X, targets[None], g)
+    _backprop(p, [X], targets[None], g)
     return MlpGradients(g.W1[0], g.b1[0], g.w2[0], float(g.b2[0]))
 
 
@@ -266,52 +298,69 @@ class TrainConfig:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is raised below
-def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
+def train_mlp_stack(X, targets, config: TrainConfig, columns=None) -> list[MlpModel]:
     """Train one model per row of ``targets`` (K, n) on the shared rows ``X``.
 
-    Each model is what a lone run of mini-batch Adam on squared error would
-    return for its targets, bit for bit: the members share the seeded
-    initialization, the hold-out split and every epoch's shuffle, because
-    none of them depends on the targets, and Adam updates each parameter on
-    its own. So all K parameter sets sit in one flat buffer that every step
-    updates in place, with ``out=`` ufuncs in the order of operations of a
-    single run.
+    Member k reads the columns ``columns[k]`` of ``X`` (every column when
+    ``columns`` is None). Each model is what a lone run of mini-batch Adam on
+    squared error over its columns would return for its targets, bit for
+    bit: the members share the hold-out split and every epoch's shuffle,
+    because neither depends on the targets or the columns, and Adam updates
+    each parameter on its own. Consecutive members that read the same
+    columns form a group, which shares the seeded initialization at its
+    width and runs its first-layer products as one ``matmul``; everything
+    else runs once over all K parameter sets, which sit in one flat buffer
+    that every step updates in place, with ``out=`` ufuncs in the order of
+    operations of a single run.
 
     The early-stopping slice is the last 10% of a seeded shuffle of the
     training rows, so reported validation metrics never leak into stopping.
     Each member keeps its own best held-out epoch and patience count, and
-    leaves the stack when its patience runs out. Targets are centered
-    internally (each member's mean is folded back into its output bias),
-    which is exact and speeds up convergence on dose-scale targets. A
-    non-finite loss in any member raises ``TrainingDivergedError``, and so
-    does a member whose best held-out loss ends over ``DIVERGENCE_RATIO``
-    times that of a constant prediction at its mean.
+    leaves the stack when its patience runs out, its group with its last
+    member. Targets are centered internally (each member's mean is folded
+    back into its output bias), which is exact and speeds up convergence on
+    dose-scale targets. A non-finite loss in any live member raises
+    ``TrainingDivergedError`` at that epoch, and so does a member whose best
+    held-out loss ends over ``DIVERGENCE_RATIO`` times that of a constant
+    prediction at its mean.
     """
     X = _as_matrix(X)
     T = np.asarray(targets, dtype=float)
-    n, d = X.shape
+    n = X.shape[0]
     if T.ndim != 2 or T.shape[1] != n:
         raise ValueError(f"targets shape {T.shape} != (K, {n})")
     if n < 2:
         raise DataError(f"need at least 2 rows to train, got {n}")
+    K = len(T)
+    if columns is None:
+        runs = [(None, K)]
+    elif len(columns) != K:
+        raise ValueError(f"{len(columns)} column lists for {K} rows of targets")
+    else:
+        runs = [(cols, len(list(run))) for cols, run in groupby(map(tuple, columns))]
 
     rng = np.random.default_rng(config.seed + 1)  # init uses config.seed itself
     perm = rng.permutation(n)
     n_hold = min(max(1, int(round(n * config.holdout_fraction))), n - 1)
     fit_idx, hold_idx = perm[: n - n_hold], perm[n - n_hold :]
-    Xf, Xh = X[fit_idx], X[hold_idx]
+    Xf, Xh = [], []  # each group's fit and held-out rows
+    for cols, _ in runs:
+        x = X if cols is None else X[:, list(cols)]
+        Xf.append(x[fit_idx])
+        Xh.append(x[hold_idx])
     Tf, Th = T[:, fit_idx], T[:, hold_idx]
-    # row by row: Tf, indexed by columns, is column-major, so Tf.mean(axis=1)
-    # would add each row in another order and change some means' last bit
+    # row by row: Tf and Th, indexed by columns, are column-major, so a mean
+    # along axis 1 would add each row in an order that depends on K
     mu = np.array([row.mean() for row in Tf])
     Tf -= mu[:, None]
     Th -= mu[:, None]
     # the held-out loss of predicting mu; no bound where the targets are all equal
-    constant_loss = np.mean(np.square(Th), axis=1)
+    constant_loss = np.array([np.mean(np.square(row)) for row in Th])
     constant_loss[np.ptp(Th, axis=1) == 0] = np.inf
 
-    K = len(T)
-    p = _Flat.stack(mlp_new(d, config.hidden, config.seed), K)
+    p = _Flat.stack(
+        [mlp_new(x.shape[1], config.hidden, config.seed) for x in Xf], [k for _, k in runs]
+    )
     g = p.like(np.empty_like(p.buf))
     m, v, tmp = np.zeros_like(p.buf), np.zeros_like(p.buf), np.empty_like(p.buf)
     lr, b1c, b2c, eps = (
@@ -321,21 +370,24 @@ def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
         config.adam_eps,
     )
 
-    Xe, Te = np.empty_like(Xf), np.empty_like(Tf)  # this epoch's shuffled rows
-    best = p.like(p.buf.copy())
+    Xe, Te = [np.empty_like(x) for x in Xf], np.empty_like(Tf)  # this epoch's rows
+    best = p.like(p.buf.copy())  # each live member's best parameters so far
     best_loss = np.full(K, np.inf)
     since_best = np.zeros(K, dtype=int)
-    live = np.arange(K)  # member index of each buffer row
+    live = np.arange(K)  # member index of each live member
+    owner = p.owners()  # live member of each element of p.buf
+    done = [None] * K  # each member's best parameters once it has left
     step = 0
     n_fit = len(fit_idx)
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n_fit)
-        np.take(Xf, order, axis=0, out=Xe)
+        for x, xe in zip(Xf, Xe):
+            np.take(x, order, axis=0, out=xe)
         np.take(Tf, order, axis=1, out=Te)
         for start in range(0, n_fit, config.batch_size):
             stop = start + config.batch_size
-            loss = _backprop(p, Xe[start:stop], Te[:, start:stop], g)
+            loss = _backprop(p, [xe[start:stop] for xe in Xe], Te[:, start:stop], g)
             if not np.isfinite(loss).all():
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}", epoch
@@ -368,18 +420,29 @@ def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
                 f"non-finite held-out loss at epoch {epoch}", epoch
             )
         better = hold_loss < best_loss[live]
-        best_loss[live[better]] = hold_loss[better]
-        best.buf[live[better]] = p.buf[better]
+        if better.any():
+            best_loss[live[better]] = hold_loss[better]
+            np.copyto(best.buf, p.buf, where=better[owner])
         since_best[live] = np.where(better, 0, since_best[live] + 1)
         keep = better | (since_best[live] < config.patience)
         if not keep.all():
+            for k in np.flatnonzero(~keep):
+                done[live[k]] = best.member(k)
             if not keep.any():
                 break
+            kept = keep[owner]
+            Xf, Xh, Xe = (
+                [x for x, (a, b) in zip(xs, p.bounds) if keep[a:b].any()]
+                for xs in (Xf, Xh, Xe)
+            )
             live = live[keep]
-            p = p.like(p.buf[keep])
-            g = g.like(g.buf[keep])
-            m, v, tmp = m[keep], v[keep], tmp[keep]
+            p = p.kept(keep, p.buf[kept])
+            best, g, owner = p.like(best.buf[kept]), p.like(np.empty_like(p.buf)), p.owners()
+            m, v, tmp = m[kept], v[kept], tmp[kept]
             Tf, Th, Te = Tf[keep], Th[keep], Te[keep]
+    else:  # the epoch cap, with members still live
+        for k, member in enumerate(live):
+            done[member] = best.member(k)
 
     diverged = best_loss > DIVERGENCE_RATIO * constant_loss
     if diverged.any():
@@ -389,7 +452,8 @@ def train_mlp_stack(X, targets, config: TrainConfig) -> list[MlpModel]:
             f"{DIVERGENCE_RATIO:g} times the {constant_loss[k]:.3g} of a constant "
             "prediction", epoch
         )
-    return [best.model(k, mu[k]) for k in range(K)]
+    return [MlpModel(W1, b1, w2, b2 + float(offset))
+            for (W1, b1, w2, b2), offset in zip(done, mu)]
 
 
 def train_mlp(X, targets, config: TrainConfig) -> MlpModel:

@@ -62,11 +62,16 @@ THREE_PROFILES = [
 ]
 
 
+def diverge_in_this_process(*args):
+    """A stand-in for a worker's stack; module level, so a pool can send it."""
+    raise TrainingDivergedError(f"loss became nan in process {os.getpid()}", 3)
+
+
 def outputs_by_jobs(tmp_path, argv, files):
-    """Run ``argv`` at ``--jobs 1``, ``--jobs 2`` and the default; every run
+    """Run ``argv`` at ``--jobs 1``, ``2``, ``3`` and the default; every run
     must leave no worker process behind. Returns each run's files as bytes."""
     runs = []
-    for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
         out = tmp_path / ("jobs-" + (jobs[-1] if jobs else "default"))
         assert run_command([*argv, "--out", str(out), *jobs]) == 0
         assert multiprocessing.active_children() == []
@@ -870,7 +875,7 @@ class TestTrainPredict:
             ]) == 0
             assert json.loads((out / "run_config.json").read_text())["jobs"] == cpus
 
-    def test_huge_jobs_is_capped_at_the_profile_count(self, tmp_path, pool_sizes):
+    def test_huge_jobs_is_capped_at_the_model_count(self, tmp_path, pool_sizes):
         data, schema = synth(tmp_path)
         assert run_command([
             "train", "--data", str(data), "--schema", str(schema),
@@ -900,11 +905,7 @@ class TestTrainPredict:
                         reason="the stand-in reaches the workers only through fork")
     def test_divergence_in_a_worker_exits_4(self, tmp_path, capsys, monkeypatch):
         data, schema = synth(tmp_path)
-
-        def diverge(*args):
-            raise TrainingDivergedError(f"loss became nan in process {os.getpid()}", 3)
-
-        monkeypatch.setattr(distillation, "sweep_lambda", diverge)
+        monkeypatch.setattr(distillation, "train_mlp_stack", diverge_in_this_process)
         code = run_command([
             "train", "--data", str(data), "--schema", str(schema),
             "--out", str(tmp_path / "m"), *THREE_PROFILES, "--grid", "0",
@@ -1042,9 +1043,9 @@ class TestOnDemandMemo:
             seen["on_demand"] += 1
             return on_demand(*args, **kwargs)
 
-        def counted_stack(X, targets, config):
+        def counted_stack(X, targets, config, columns=None):
             seen["stacks"].append(len(targets))
-            return stack(X, targets, config)
+            return stack(X, targets, config, columns)
 
         monkeypatch.setattr(cli, "train_on_demand", counted_on_demand)
         monkeypatch.setattr(models, "train_mlp_stack", counted_stack)

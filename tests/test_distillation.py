@@ -223,12 +223,12 @@ class TestSweepProfiles:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_profiles, jobs, pools", [
-        (3, 10**9, [3]),  # capped at the profile count, no process started
+        (3, 10**9, [3]),  # capped at the model count, no process started
         (3, 2, [2]),
         (3, 1, []),       # built-in map, no pool
-        (1, 8, []),       # one profile never fans out
+        (1, 8, []),       # one model never fans out
     ])
-    def test_workers_capped_at_the_profile_count(
+    def test_workers_capped_at_the_model_count(
         self, cohorts, pool_sizes, n_profiles, jobs, pools
     ):
         catalog, train, valid = cohorts

@@ -131,6 +131,11 @@ class TestSafetyPartition:
             100.0, abs=1e-9
         )
 
+    @pytest.mark.parametrize("counts", [(-1, 3, 0), (0, -2, 5), (2, 2, -1)])
+    def test_a_count_below_zero_is_refused(self, counts):
+        with pytest.raises(ValueError, match="below 0"):
+            EvalReport(0.0, 0.0, *counts)
+
     def test_report_counts_match(self):
         preds = np.array([10.0, 35.0, 50.0])
         truths = np.array([35.0, 35.0, 35.0])

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dosedistill import models
 from dosedistill.errors import DataError, TrainingDivergedError
 from dosedistill.models import (
     LSQ_DAMPING,
@@ -283,6 +284,66 @@ class TestStack:
             train_mlp_stack(X, T[:, :-1], TrainConfig(seed=0))
         with pytest.raises(ValueError, match="targets shape"):
             train_mlp_stack(X, T[0], TrainConfig(seed=0))
+
+
+def grouped_targets():
+    """Six target rows on shared X, in groups that read 1, 4 and all 13 columns."""
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((150, 13))
+    noise = rng.standard_normal(150)
+    line = X[:, :4] @ np.array([2.0, -1.0, 0.5, 1.0]) + 20
+    T = np.stack([
+        line + 3 * noise,
+        line,
+        10 * np.sin(3 * X[:, 1]) + 20,
+        10 * noise + 20,
+        0.5 * line + 5 * noise,
+        line + X[:, 12],
+    ])
+    columns = [(0,)] + [(1, 2, 3, 4)] * 3 + [tuple(range(13))] * 2
+    return X, T, columns
+
+
+class TestGroupedStack:
+    def test_each_member_equals_its_lone_fit_on_its_columns(self, monkeypatch):
+        X, T, columns = grouped_targets()
+        layouts = []
+        kept = models._Flat.kept
+
+        def spy(self, keep, buf):
+            layout = kept(self, keep, buf)
+            layouts.append(list(zip(layout.widths, layout.counts)))
+            return layout
+
+        monkeypatch.setattr(models._Flat, "kept", spy)
+        cfg = TrainConfig(seed=4, max_epochs=60, patience=3)
+        grouped = train_mlp_stack(X, T, cfg, columns)
+        # members leave at several epochs, and a whole group leaves while
+        # the others still train
+        assert len(layouts) >= 3
+        assert any(0 < len(layout) < 3 for layout in layouts)
+        assert len(grouped) == len(T)
+        for k, (model, cols) in enumerate(zip(grouped, columns)):
+            assert models_equal(model, train_mlp(X[:, list(cols)], T[k], cfg)), f"member {k}"
+
+    def test_a_diverging_member_raises_at_its_own_epoch(self):
+        """Two fit rows whose squared errors each fit in a float overflow
+        their sum in the first epoch whose shuffle puts them in one batch."""
+        X, T, columns = grouped_targets()
+        T[2, [2, 3]] = 1e154
+        cfg = TrainConfig(seed=4, max_epochs=60, patience=60)
+        with pytest.raises(TrainingDivergedError) as lone:
+            train_mlp(X[:, list(columns[2])], T[2], cfg)
+        assert lone.value.epoch > 1
+        with pytest.raises(TrainingDivergedError) as grouped:
+            train_mlp_stack(X, T, cfg, columns)
+        assert grouped.value.epoch == lone.value.epoch
+        assert str(grouped.value) == str(lone.value)
+
+    def test_one_column_list_per_member(self):
+        X, T, columns = grouped_targets()
+        with pytest.raises(ValueError, match="column lists"):
+            train_mlp_stack(X, T, TrainConfig(seed=0), columns[:-1])
 
 
 class TestSerialization:

@@ -145,10 +145,20 @@ def test_pack_with_an_out_of_range_recipe_is_data_error(trained, ratio):
         pack_from_obj(obj)
 
 
+def negative_count(metrics):
+    """Under -5, with within raised by as many: the size and every
+    percentage agree with the counts."""
+    s = metrics["safety"]
+    s.update(under=-5, within=s["within"] + s["under"] + 5)
+    for count in ("under", "within", "over"):
+        s[f"{count}_pct"] = 100.0 * s[count] / metrics["n"]
+
+
 @pytest.mark.parametrize("edit", [
     lambda metrics: metrics.update(n=metrics["n"] + 1),
     lambda metrics: metrics["safety"].update(under=0, within=0, over=0),
-], ids=["n-disagrees-with-counts", "all-counts-zero"])
+    negative_count,
+], ids=["n-disagrees-with-counts", "all-counts-zero", "negative-count"])
 def test_pack_with_report_counts_no_evaluation_gives_is_data_error(trained, edit):
     """A report's size is its counts' sum, and at least one, even under a
     valid digest."""
