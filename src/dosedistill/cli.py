@@ -4,7 +4,7 @@ Every command returns its output, which ``run_command`` prints. A writing
 command writes into ``--out``, else ``DOSEDISTILL_OUT``, and ``run_command``
 records the parsed arguments there, that directory among them, as
 ``run_config.json``; re-running them reproduces every output byte for byte.
-Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
+Exit codes: 0 ok, 2 usage, 3 data error or out of memory, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -601,6 +601,9 @@ def run_command(argv: Sequence[str] | None = None) -> int:
                                 {k: v for k, v in vars(args).items() if k != "func"})
         print(text)  # last, so a failed record write prints no success line
         return EXIT_OK
+    except MemoryError as exc:  # numpy's failed allocations among them
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_DATA
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

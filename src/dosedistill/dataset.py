@@ -30,6 +30,7 @@ import io
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -323,7 +324,10 @@ def parse_and_validate(
     here; errors name ``data_path`` and the offending row and column.
 
     The bytes are decoded as they are parsed, with line ends as written, so no
-    decoded copy of the whole file is made. Rows with a missing target or
+    decoded copy of the whole file is made. Each cell goes to its column as it
+    is read: numeric columns and the doses are typed ``array("d")`` buffers of
+    raw doubles, categorical columns and ids lists; a row dropped part-way
+    takes back the cells it added. Rows with a missing target or
     missing feature values are dropped (the counts are logged); a
     non-positive or unparseable cell is an error. The catalog's categorical
     encoding maps are built from the labels observed in surviving rows, in
@@ -337,8 +341,8 @@ def parse_and_validate(
     feature_names = [name for name, _, _ in declared]
     expected = set(feature_names) | {target_col} | ({id_col} if id_col else set())
     ids: list[str] = []
-    ys: list[float] = []
-    columns: list[list] = [[] for _ in declared]
+    ys = array("d")
+    columns = [array("d") if kind == KIND_NUMERIC else [] for _, _, kind in declared]
     dropped_target = 0
     dropped_missing = 0
     try:
@@ -358,7 +362,8 @@ def parse_and_validate(
         where = {name: i for i, name in enumerate(header)}
         target_at = where[target_col]
         id_at = where[id_col] if id_col else None
-        cells = [(name, where[name], kind == KIND_NUMERIC) for name, _, kind in declared]
+        cells = [(name, where[name], kind == KIND_NUMERIC, column.append)
+                 for (name, _, kind), column in zip(declared, columns)]
         blank = [""] * len(header)
         lineno = 1
         for row in reader:
@@ -377,16 +382,16 @@ def parse_and_validate(
                     f"{path}: row {lineno}, column {target_col!r}: "
                     f"dose must be positive, got {raw_target}"
                 )
-            values = []
-            for name, at, numeric in cells:
+            for name, at, numeric, append in cells:
                 cell = row[at].strip()
                 if not cell:
                     dropped_missing += 1
+                    for column in columns:  # take back the cells this row added
+                        if len(column) > len(ys):
+                            column.pop()
                     break
-                values.append(_number(cell, path, lineno, name) if numeric else cell)
+                append(_number(cell, path, lineno, name) if numeric else cell)
             else:
-                for column, value in zip(columns, values):
-                    column.append(value)
                 ids.append((row[id_at].strip() if id_at is not None else "") or f"row{lineno}")
                 ys.append(y * dose_scale)
     except UnicodeDecodeError as exc:

@@ -210,14 +210,19 @@ def pack_from_obj(obj: dict):
             split_ratio=obj["split_ratio"],
             train=TrainConfig(**obj["train_config"]),
         )
+        catalog = catalog_from_obj(obj["catalog"])
+        for b in obj["bundles"]:  # before a bundle lists its profile's features
+            if b["profile"]["dim"] != catalog.d:
+                raise DataError(f"malformed model pack: a profile has dim "
+                                f"{b['profile']['dim']!r}, the catalog {catalog.d}")
         parts = (
-            catalog_from_obj(obj["catalog"]),
+            catalog,
             standardizer_from_obj(obj["standardizer"]),
             tuple(bundle_from_obj(b) for b in obj["bundles"]),
             config,
         )
         canonical = pack_to_obj(*parts) == obj
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model pack: {type(exc).__name__}: {exc}") from None
     if not canonical:
         raise DataError("malformed model pack: it is not what its decoded parts encode to")

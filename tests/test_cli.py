@@ -175,6 +175,29 @@ class TestSynthPrepare:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, callee, exc, detail", [
+        ("synth", "generate_synthetic", MemoryError("Unable to allocate 8.00 TiB"),
+         "Unable to allocate 8.00 TiB"),
+        ("train", "sweep_profiles", MemoryError(), "an allocation failed"),
+    ])
+    def test_out_of_memory_exits_3_by_name_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, callee, exc, detail
+    ):
+        """numpy's failed allocation is a MemoryError; the function the
+        command calls raises one here, so nothing huge is allocated."""
+        data, schema = synth(tmp_path)
+
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, callee, exhausted)
+        out = tmp_path / "out"
+        inputs = [] if command == "synth" else ["--data", str(data), "--schema", str(schema)]
+        capsys.readouterr()
+        assert run_command([command, *inputs, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: out of memory: {detail}\n")
+        assert not out.exists()
+
     def test_a_failed_record_write_prints_no_success_line(self, tmp_path, capsys):
         out = tmp_path / "s"
         (out / "run_config.json").mkdir(parents=True)

@@ -2,6 +2,9 @@
 
 import ast
 import csv
+import io
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,11 @@ from dosedistill.dataset import (
     Cohort,
     FeatureCategory,
     StandardizationParams,
+    _parse_schema,
     load_and_validate,
+    load_bytes,
     load_text,
+    parse_and_validate,
     split_cohorts,
     standardize,
 )
@@ -143,6 +149,29 @@ class TestLoad:
         )
         _, records = load_and_validate(data, schema)
         assert len(records) == 2
+
+    def test_a_row_dropped_part_way_leaves_no_cell_behind(self, tmp_path):
+        """Row 3 is dropped at its blank ``site`` after its ``race`` label Z
+        and its weight were read: Z, seen in no kept row, is no label, and
+        the rows after it keep their own cells."""
+        schema = BASIC_SCHEMA.replace(
+            '"kind": "categorical"}',
+            '"kind": "categorical"},\n'
+            '    {"name": "site", "category": "background", "kind": "categorical"}',
+        )
+        data, schema = write_files(
+            tmp_path,
+            "race,weight,site,weekly_dose_mg\nA,70,s,30\nZ,99,,40\nB,80,t,50\n",
+            schema,
+        )
+        catalog, records = load_and_validate(data, schema)
+        assert catalog.names == ("weight", "race", "site")
+        assert [f.encoding_map for f in catalog.features] == [
+            None, {"A": 0, "B": 1}, {"s": 0, "t": 1},
+        ]
+        assert records.M.tolist() == [[70.0, 0.0, 0.0], [80.0, 1.0, 1.0]]
+        assert list(records.ids) == ["row2", "row4"]
+        assert list(records.y) == [30.0, 50.0]
 
     def test_daily_unit_converted_to_weekly(self, tmp_path):
         schema_daily = BASIC_SCHEMA.replace(
@@ -424,6 +453,129 @@ def test_split_partition_property(n, ratio, seed):
     ids = sorted([*train.ids, *valid.ids])
     assert ids == sorted(records.ids)
     assert len(train) >= 1 and len(valid) >= 1
+
+
+def reference_parse(schema: dict, data: bytes, path: str):
+    """``parse_and_validate``'s rules, one row at a time: the kept ids, ``M``,
+    ``y`` and encoding maps, or the first DataError."""
+    target, id_col = schema["target"], schema.get("id")
+    scale = 7.0 if schema.get("target_unit") == "daily" else 1.0
+
+    def number(cell, lineno, column):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(
+                f"{path}: row {lineno}, column {column!r}: unparseable number {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}: row {lineno}, column {column!r}: non-finite value {cell!r}")
+        return value
+
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    header = next(reader)
+    kept, lineno = [], 1
+    for row in reader:
+        if not row:
+            continue
+        lineno += 1
+        cell = {name: row[i].strip() if i < len(row) else "" for i, name in enumerate(header)}
+        if not cell[target]:
+            continue
+        dose = number(cell[target], lineno, target)
+        if dose <= 0:
+            raise DataError(
+                f"{path}: row {lineno}, column {target!r}: dose must be positive, "
+                f"got {cell[target]}"
+            )
+        values = []
+        for f in schema["features"]:
+            name = f["name"]
+            if not cell[name]:
+                break
+            values.append(number(cell[name], lineno, name) if f["kind"] == "numeric" else cell[name])
+        else:
+            kept.append(((cell[id_col] if id_col else "") or f"row{lineno}", values, dose * scale))
+    if not kept:
+        raise DataError(f"{path}: no usable rows after validation")
+    maps = [
+        {label: code for code, label in enumerate(sorted({v[j] for _, v, _ in kept}))}
+        if f["kind"] == "categorical" else None
+        for j, f in enumerate(schema["features"])
+    ]
+    M = np.array([[v if m is None else m[v] for v, m in zip(values, maps)]
+                  for _, values, _ in kept], dtype=float)
+    return [i for i, _, _ in kept], M, np.array([y for _, _, y in kept]), maps
+
+
+NUMBER_CELLS = ["1", "2.5", "-3", "0", " 4 ", "1e3"] * 3 + ["", " ", "x", "nan", "inf", "1e999"]
+LABEL_CELLS = ["A", "B", "c", " A", "B\t", "1"] * 3 + ["", "  "]
+DOSE_CELLS = ["30", " 7.5 ", "12", "40"] * 4 + ["", " ", "0", "-2", "x", "nan"]
+ID_CELLS = ["", " ", "p1", " p2 ", "row3"]
+
+
+@st.composite
+def small_tables(draw):
+    """A schema and CSV bytes: numeric and categorical columns in any header
+    order, blanks and padding in any cell, short rows, blank lines, bad
+    numbers, ``nan`` and non-positive doses."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=4))
+    names = [f"f{j}" for j in range(len(kinds))]
+    id_col = draw(st.sampled_from([None, "pid"]))
+    schema = {
+        "target": "dose", "id": id_col,
+        "target_unit": draw(st.sampled_from(["weekly", "daily"])),
+        "features": [{"name": n, "category": "background", "kind": k}
+                     for n, k in zip(names, kinds)],
+    }
+    cells = {"dose": DOSE_CELLS, "pid": ID_CELLS} | {
+        n: NUMBER_CELLS if k == "numeric" else LABEL_CELLS for n, k in zip(names, kinds)
+    }
+    header = draw(st.permutations(names + ["dose"] + ([id_col] if id_col else [])))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        row = [draw(st.sampled_from(cells[name])) for name in header]
+        if draw(st.integers(0, 5)) == 0:  # a short row, or a blank line
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        lines.append(",".join(row))
+    return schema, ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=small_tables())
+def test_the_row_loop_matches_a_row_by_row_reference(table):
+    schema, data = table
+    try:
+        ids, M, y, maps = reference_parse(schema, data, "t.csv")
+    except DataError as expected:
+        with pytest.raises(DataError) as got:
+            parse_and_validate(schema, data, "t.csv")
+        assert str(got.value) == str(expected)
+        return
+    catalog, rows = parse_and_validate(schema, data, "t.csv")
+    assert list(rows.ids) == ids
+    assert rows.M.shape == M.shape and rows.M.tobytes() == M.tobytes()
+    assert rows.y.tobytes() == y.tobytes()
+    assert [f.encoding_map and list(f.encoding_map.items()) for f in catalog.features] == [
+        m and list(m.items()) for m in maps
+    ]
+
+
+def test_parsing_holds_few_bytes_per_kept_row(tmp_path):
+    """A numeric cell is held as 8 raw bytes while the CSV is parsed, not as
+    a float object. On this 20,000-row, d = 13 cohort the traced peak of the
+    parse is about 304 B per kept row with typed column buffers, and about
+    546 B with a list of float objects per column."""
+    data, schema = write_synth(tmp_path, SyntheticSpec(n=20_000), seed=3)
+    checked, raw = _parse_schema(schema), load_bytes(data)
+    tracemalloc.start()
+    try:
+        _, rows = parse_and_validate(checked, raw, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20_000
+    assert peak / len(rows) < 420, f"{peak / len(rows):.0f} B per row"
 
 
 def test_only_the_dataset_module_touches_files():

@@ -171,6 +171,23 @@ def test_pack_with_report_counts_no_evaluation_gives_is_data_error(trained, edit
         pack_from_obj(obj)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda bundle: bundle["distilled"].update(b2="0x1p+2000"), "OverflowError"),
+    (lambda bundle: bundle["profile"].update(dim=10**30), "a profile has dim 10000"),
+], ids=["b2-overflows", "dim-not-the-catalogs"])
+def test_pack_whose_bundle_cannot_be_built_is_data_error(trained, edit, message):
+    """A bias beyond a float, or a profile as wide as no catalog, is refused
+    under a valid digest; the width is checked before any bundle lists its
+    profile's features, which at 10**30 would exhaust memory."""
+    catalog, train, bundle, config = trained
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
+    edit(obj["bundles"][0])
+    del obj["digest"]
+    obj["digest"] = config_digest(obj)
+    with pytest.raises(DataError, match=f"malformed model pack: .*{message}"):
+        pack_from_obj(obj)
+
+
 def test_load_pack_gives_each_thread_the_decode_of_the_file_it_read(trained, tmp_path):
     """Threads alternating two packs share one kept decode; none may be
     served the other file's decode when the kept one is replaced under it."""
