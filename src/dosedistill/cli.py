@@ -35,7 +35,8 @@ from .dataset import (
     standardize,
     write_csv,
 )
-from .distillation import DistillationConfig, PrivilegedInputs, run_study, sweep_profiles
+from .distillation import DistillationConfig, PrivilegedInputs, _usable_cpus
+from .distillation import run_study, sweep_profiles
 from .errors import DataError, DoseDistillError, NoFeasibleProfileError, NumericError
 from .evaluation import RISK_LABELS, STUDY_STATS, mean_std
 from .feature_selection import DEFAULT_EPSILON, DEFAULT_FOLDS, backward_attribute_elimination
@@ -149,13 +150,6 @@ def _distill_config(args) -> DistillationConfig:
         split_ratio=args.ratio,
         train=_config(TrainConfig, args),
     )
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, where the platform can say."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _whole_number(least: int):
@@ -306,21 +300,6 @@ def _cmd_profiles_list(args) -> str:
     return "\n".join([header, "-" * len(header), *rows])
 
 
-def _fit_profiles(args):
-    """Sweep the grid for each requested profile: (pack, bundles, grid points)."""
-    config = _distill_config(args)
-    catalog, records = load_and_validate(args.data, args.schema)
-    train, valid = config.split(records, catalog)
-    bundles, points = [], []
-    for sweep, best in sweep_profiles(
-        train, valid, _resolve_profiles(catalog, args.profile), config, jobs=args.jobs
-    ):
-        points.extend((best.profile.name, lam, rep) for lam, rep in sweep)
-        bundles.append(best)
-    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config)
-    return pack, bundles, points
-
-
 def _write_table(path: Path, header: Sequence[str], rows) -> None:
     """A CSV with one header row; floats are written with six significant digits."""
     write_csv(path, header, (
@@ -329,40 +308,36 @@ def _write_table(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _cmd_train(args) -> str:
-    pack, bundles, _ = _fit_profiles(args)
+    """Sweep each requested profile's grid; write its pack, report and per-lambda table."""
+    config = _distill_config(args)
+    catalog, records = load_and_validate(args.data, args.schema)
+    train, valid = config.split(records, catalog)
+    swept = sweep_profiles(
+        train, valid, _resolve_profiles(catalog, args.profile), config, jobs=args.jobs
+    )
+    bundles = [best for _, best in swept]
     out = _made(args.out)
+    pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config)
     serialize.save_json(out / "pack.json", pack)
-    report_obj = {
-        b.profile.name: {
-            "lambda": b.lam,
-            "metrics": serialize.report_to_obj(b.metrics),
-        }
+    serialize.save_json(out / "report.json", {
+        b.profile.name: {"lambda": b.lam, "metrics": serialize.report_to_obj(b.metrics)}
         for b in bundles
-    }
-    serialize.save_json(out / "report.json", report_obj)
+    })
+    _write_table(
+        out / "sweep.csv",
+        ["profile", "lambda", "mae", "mape", "sw", "under", "over"],
+        (
+            [best.profile.name, f"{lam:g}", rep.mae, rep.mape,
+             rep.within_pct, rep.under_pct, rep.over_pct]
+            for points, best in swept
+            for lam, rep in points
+        ),
+    )
     summary = ", ".join(
         f"{b.profile.name}: mae {b.metrics.mae:.2f} @ lambda {b.lam:g}"
         for b in bundles
     )
     return f"train: {summary}; pack in {out / 'pack.json'}"
-
-
-def _cmd_sweep(args) -> str:
-    pack, bundles, points = _fit_profiles(args)
-    out = _made(args.out)
-    _write_table(
-        out / "sweep.csv",
-        ["profile", "lambda", "mae", "mape", "sw", "under", "over"],
-        (
-            [name, f"{lam:g}", rep.mae, rep.mape, rep.within_pct, rep.under_pct, rep.over_pct]
-            for name, lam, rep in points
-        ),
-    )
-    serialize.save_json(out / "pack.json", pack)
-    return (
-        f"sweep: {len(points)} grid points over {len(bundles)} profile(s); "
-        f"CSV in {out / 'sweep.csv'}"
-    )
 
 
 def _cmd_evaluate(args) -> str:
@@ -554,20 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--schema", required=True)
     pl.set_defaults(func=_cmd_profiles_list)
 
-    p = sub.add_parser("train", parents=[writes], help="train per-profile model bundles")
+    p = sub.add_parser("train", parents=[writes],
+                       help="train per-profile model bundles over the imitation-weight "
+                       "grid; writes a pack, its report and the per-lambda table")
     _add_data_args(p)
     p.add_argument("--profile", action="append",
                    help="profile name (repeatable; default: all nine)")
     _add_train_args(p)
     p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("sweep", parents=[writes],
-                       help="train across the imitation-weight grid")
-    _add_data_args(p)
-    p.add_argument("--profile", action="append",
-                   help="profile name (repeatable; default: all nine)")
-    _add_train_args(p)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("evaluate", parents=[writes],
                        help="multi-split accuracy and safety study")
@@ -577,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="predict a dose from a disclosure")
-    p.add_argument("--model", required=True, help="model pack JSON from train/sweep")
+    p.add_argument("--model", required=True, help="model pack JSON from train")
     p.add_argument("--disclose", required=True,
                    help="comma-separated name=value pairs; omission = withheld")
     p.add_argument("--data", default=None,

@@ -21,6 +21,7 @@ shrinks: at weight lambda and temperature T the blended target is
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -114,13 +115,6 @@ class DistilledBundle:
             )
 
 
-def _soft_targets(
-    train: Cohort, profile: Profile, privileged: MlpModel, config: DistillationConfig
-) -> np.ndarray:
-    cols = privileged_feature_indices(profile, config.privileged_inputs)
-    return soft_targets(privileged, train.X[:, cols], config.temperature)
-
-
 def _blend(y: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
     """(1 - lambda) * y + lambda * s; lambda = 0 is y itself."""
     return y if lam == 0.0 else (1.0 - lam) * y + lam * s
@@ -138,9 +132,17 @@ def train_distilled(
         raise ValueError(
             f"train_distilled fits one lambda; the grid has {len(config.lambda_grid)}"
         )
-    s = _soft_targets(train, profile, privileged, config)
+    cols = privileged_feature_indices(profile, config.privileged_inputs)
+    s = soft_targets(privileged, train.X[:, cols], config.temperature)
     targets = _blend(train.y, s, config.lambda_grid[0])
     return train_mlp(train.X[:, list(profile.visible_features)], targets, config.train)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sweep_lambda(
@@ -185,8 +187,8 @@ def sweep_profiles(
     targets and their visible columns: they share the rows, the seed, the
     hold-out split and every shuffle. So after the teachers, the flat
     (profile, lambda) list of students is dealt round-robin to
-    ``min(jobs, students)`` workers, and each trains its share as one
-    ``train_mlp_stack``, grouped by profile; one worker runs in this
+    ``min(jobs, students, usable CPUs)`` workers, and each trains its share
+    as one ``train_mlp_stack``, grouped by profile; one worker runs in this
     process, more in a pool of worker processes. Each student is bit for
     bit the one a lone ``train_mlp`` on its columns and targets returns.
     The students are then scored here and each profile's best is picked.
@@ -199,11 +201,11 @@ def sweep_profiles(
         cols = privileged_feature_indices(profile, config.privileged_inputs)
         if cols not in teachers:
             teachers[cols] = train_privileged(train, profile, config)
-        s = _soft_targets(train, profile, teachers[cols], config)
+        s = soft_targets(teachers[cols], train.X[:, cols], config.temperature)
         targets[i] = [_blend(train.y, s, lam) for lam in grid]
         columns += [profile.visible_features] * len(grid)
     targets = targets.reshape(-1, n)  # one row per (profile, lambda)
-    workers = min(jobs, len(targets))
+    workers = min(jobs, len(targets), _usable_cpus())
     shares = (
         repeat(train.X),
         [targets[w::workers] for w in range(workers)],

@@ -295,6 +295,8 @@ class TrainConfig:
             raise ValueError("holdout_fraction must be in (0, 1)")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is raised below

@@ -11,7 +11,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import asdict
+import math
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -113,6 +114,8 @@ def profile_to_obj(profile: Profile) -> dict:
 
 
 def profile_from_obj(obj: dict) -> Profile:
+    if not (isinstance(obj["name"], str) and obj["name"]):
+        raise ValueError(f"a profile name must be a non-empty string, got {obj['name']!r}")
     return Profile(
         obj["name"],
         frozenset(FeatureCategory.from_label(c) for c in obj["redacted_categories"]),
@@ -142,11 +145,23 @@ def report_to_obj(report) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool, which Python counts as an int."""
+    return type(value) in (int, float)
+
+
 def report_from_obj(obj: dict) -> EvalReport:
-    """The report in ``obj``. Its ``n`` and percentages are not read:
-    ``pack_from_obj`` checks them by encoding the report again."""
+    """The report in ``obj``: finite errors of at least 0 and whole counts.
+    Its ``n`` and percentages are not read: ``pack_from_obj`` checks them
+    by encoding the report again."""
     s = obj["safety"]
-    return EvalReport(obj["mae"], obj["mape"], s["under"], s["within"], s["over"])
+    counts = s["under"], s["within"], s["over"]
+    if not all(type(c) is int for c in counts):
+        raise TypeError(f"safety counts must be whole numbers, got {counts!r}")
+    for name in ("mae", "mape"):
+        if not (_is_number(value := obj[name]) and 0 <= value < math.inf):
+            raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
+    return EvalReport(obj["mae"], obj["mape"], *counts)
 
 
 def bundle_to_obj(bundle: DistilledBundle) -> dict:
@@ -204,6 +219,11 @@ def pack_from_obj(obj: dict):
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported model file version {version!r}")
     try:
+        for f in fields(TrainConfig):  # finite numbers, whole where the default is
+            value = obj["train_config"][f.name]
+            kinds = (int,) if type(f.default) is int else (int, float)  # a bool is neither
+            if type(value) not in kinds or not math.isfinite(value):
+                raise TypeError(f"train_config {f.name} is {value!r}")
         config = DistillationConfig(
             lambda_grid=tuple(obj["lambda_grid"]),
             privileged_inputs=PrivilegedInputs(obj["privileged_inputs"]),
@@ -211,10 +231,14 @@ def pack_from_obj(obj: dict):
             train=TrainConfig(**obj["train_config"]),
         )
         catalog = catalog_from_obj(obj["catalog"])
+        if not all(map(_is_number, config.lambda_grid)):
+            raise TypeError(f"the lambda grid holds a non-number: {obj['lambda_grid']!r}")
         for b in obj["bundles"]:  # before a bundle lists its profile's features
             if b["profile"]["dim"] != catalog.d:
                 raise DataError(f"malformed model pack: a profile has dim "
                                 f"{b['profile']['dim']!r}, the catalog {catalog.d}")
+            if not (_is_number(b["lambda"]) and b["lambda"] in config.lambda_grid):
+                raise ValueError(f"a bundle's lambda {b['lambda']!r} is not on the grid")
         parts = (
             catalog,
             standardizer_from_obj(obj["standardizer"]),

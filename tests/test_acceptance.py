@@ -296,6 +296,7 @@ CRITERION_9_SHA256 = {
     "d/schema.json": "93e7de6f916a8b07f7ba00112568b4e9bdec9378561831266b32eef2b588c523",
     "m/pack.json": "64a05d16007a3d072fc71f2012717036115f084fc234c524f963a1fb91d04950",
     "m/report.json": "89155816a962faa84c305c3ee17534ab9e6424f6a6302499e555b1156fb12036",
+    "m/sweep.csv": "b1b67d91ec83ae4aa000163eaea2dc84b416f3d11c7608c72a008ecbe34b9fe2",
 }
 
 

@@ -235,7 +235,7 @@ class TestSynthPrepare:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
-        "command", ["synth", "select-features", "train", "sweep", "evaluate"]
+        "command", ["synth", "select-features", "train", "evaluate"]
     )
     def test_negative_seed_is_usage_error_naming_it(self, tmp_path, capsys, command):
         out = tmp_path / "o"
@@ -255,7 +255,7 @@ class TestSynthPrepare:
         for grid in ("zero-to-one", "0:nan:0.1", "nan:1:0.1", "0:1:nan", "0:inf:0.1",
                      "-0.5:1:0.1", "0:2:0.1", "0:1:0", "0:1:0.0009", "0:1:1e-300"):
             code = run_command([
-                "sweep", "--data", str(data), "--schema", str(schema),
+                "train", "--data", str(data), "--schema", str(schema),
                 "--out", str(tmp_path / "s"), f"--grid={grid}", *FAST,
             ])
             assert code == 2, grid
@@ -340,7 +340,7 @@ class TestSynthPrepare:
         data, schema = synth(tmp_path)
         out = tmp_path / "s"
         code = run_command([
-            "sweep", "--data", str(data), "--schema", str(schema),
+            "train", "--data", str(data), "--schema", str(schema),
             "--out", str(out), "--profile", "public", "--grid", grid, *FAST,
         ])
         assert code == 2
@@ -355,7 +355,6 @@ WRITING_COMMANDS = {
     "prepare": ["--dump-encoded"],
     "select-features": [],
     "train": ["--profile", "public", "--grid", "0", *FAST],
-    "sweep": ["--profile", "public", "--grid", "0", *FAST],
     "evaluate": ["--runs", "1", "--grid", "0", *FAST],
 }
 
@@ -564,7 +563,7 @@ def _field_defaults(cls) -> dict:
     ("select-features", {"epsilon": DEFAULT_EPSILON, "folds": DEFAULT_FOLDS,
                          "ratio": DistillationConfig.split_ratio}, 3),
     *((command, _field_defaults(TrainConfig) | {"ratio": DistillationConfig.split_ratio}, 7)
-      for command in ("train", "sweep", "evaluate")),
+      for command in ("train", "evaluate")),
 ])
 def test_an_option_backed_by_a_config_field_takes_its_default_and_type(
     command, backed, count
@@ -652,7 +651,7 @@ class TestOneParserPerProcess:
             seen.append(args.profile)
             raise DataError("stopped before fitting")
 
-        monkeypatch.setattr(cli, "_fit_profiles", stop)
+        monkeypatch.setattr(cli, "_distill_config", stop)
         for extra in (["--profile", "Public patient"], []):
             assert run_command([
                 "train", "--data", "d.csv", "--schema", "s.json",
@@ -788,7 +787,7 @@ class TestTrainPredict:
         assert "usage error: max_epochs must be >= 1" in capsys.readouterr().err
         assert not (out / "pack.json").exists()
 
-    @pytest.mark.parametrize("command", ["train", "sweep", "evaluate"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("value", ["1", "1.5", "nan"])
     def test_a_ratio_outside_the_unit_interval_is_refused_by_argparse(
         self, tmp_path, capsys, command, value
@@ -898,7 +897,8 @@ class TestTrainPredict:
             ]) == 0
             assert json.loads((out / "run_config.json").read_text())["jobs"] == cpus
 
-    def test_huge_jobs_is_capped_at_the_model_count(self, tmp_path, pool_sizes):
+    def test_huge_jobs_is_capped_at_the_model_count(self, tmp_path, pool_sizes, monkeypatch):
+        monkeypatch.setattr(distillation, "_usable_cpus", lambda: 64)
         data, schema = synth(tmp_path)
         assert run_command([
             "train", "--data", str(data), "--schema", str(schema),
@@ -906,6 +906,20 @@ class TestTrainPredict:
             "--max-epochs", "5", "--patience", "2", "--jobs", str(10**9),
         ]) == 0
         assert pool_sizes == [3]
+
+    def test_jobs_beyond_the_usable_cpus_starts_no_more_and_is_recorded_as_given(
+        self, tmp_path, pool_sizes, monkeypatch
+    ):
+        monkeypatch.setattr(distillation, "_usable_cpus", lambda: 2)
+        data, schema = synth(tmp_path)
+        out = tmp_path / "m"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema), "--out", str(out),
+            *THREE_PROFILES, "--grid", "0", "--max-epochs", "5", "--patience", "2",
+            "--jobs", str(10**5),
+        ]) == 0
+        assert pool_sizes == [2]
+        assert json.loads((out / "run_config.json").read_text())["jobs"] == 10**5
 
     def test_a_finite_divergence_exits_4_and_writes_nothing(self, tmp_path, capsys):
         """At a learning rate of 1e9 every loss stays finite, but the models
@@ -1484,7 +1498,7 @@ class TestSweep:
         data, schema = synth(tmp_path, n=200)
         out = tmp_path / "s"
         code = run_command([
-            "sweep", "--data", str(data), "--schema", str(schema),
+            "train", "--data", str(data), "--schema", str(schema),
             "--out", str(out), "--profile", "With all except genotypic",
             "--grid", "0:1:0.1", *FAST,
         ])
@@ -1499,11 +1513,43 @@ class TestSweep:
     def test_outputs_identical_regardless_of_jobs(self, tmp_path):
         data, schema = synth(tmp_path, n=200)
         first, *rest = outputs_by_jobs(tmp_path, [
-            "sweep", "--data", str(data), "--schema", str(schema), *THREE_PROFILES,
+            "train", "--data", str(data), "--schema", str(schema), *THREE_PROFILES,
             "--grid", "0:1:0.5", "--max-epochs", "25", "--patience", "5",
         ], ("sweep.csv", "pack.json"))
         assert all(run == first for run in rest)
         assert len(first["sweep.csv"].splitlines()) == 1 + 3 * 3
+
+    def test_each_profiles_least_mae_row_carries_its_reported_lambda(self, tmp_path):
+        """The table and the report come from one fit: a profile's row of
+        least MAE is at the lambda report.json names, a tie going to the
+        smaller lambda."""
+        data, schema = synth(tmp_path, n=200)
+        out = tmp_path / "t"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema), "--out", str(out),
+            *THREE_PROFILES, "--grid", "0:1:0.25", *FAST,
+        ]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "pack.json", "report.json", "run_config.json", "sweep.csv",
+        ]
+        report = json.loads((out / "report.json").read_text())
+        _, *rows = read_rows(out / "sweep.csv")
+        assert list(dict.fromkeys(name for name, *_ in rows)) == list(report)
+        for name, entry in report.items():
+            points = [(float(mae), float(lam)) for profile, lam, mae, *_ in rows
+                      if profile == name]
+            assert len(points) == 5
+            assert min(points)[1] == entry["lambda"], name
+
+    def test_the_sweep_command_is_gone(self, tmp_path, capsys):
+        """`train` writes the table; a recorded `sweep` run no longer replays."""
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as err:
+            run_command(["sweep", "--data", "d.csv", "--schema", "s.json",
+                         "--out", str(out)])
+        assert err.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

@@ -229,10 +229,28 @@ class TestSweepProfiles:
         (1, 8, []),       # one model never fans out
     ])
     def test_workers_capped_at_the_model_count(
-        self, cohorts, pool_sizes, n_profiles, jobs, pools
+        self, cohorts, pool_sizes, monkeypatch, n_profiles, jobs, pools
     ):
+        monkeypatch.setattr(distillation, "_usable_cpus", lambda: 64)
         catalog, train, valid = cohorts
         profiles = list(default_catalog(catalog))[:n_profiles]
+        config = DistillationConfig(lambda_grid=(0.0,), train=fast_train(2))
+        results = sweep_profiles(train, valid, profiles, config, jobs=jobs)
+        assert pool_sizes == pools
+        assert [best.profile for _, best in results] == profiles
+
+    @pytest.mark.parametrize("cpus, jobs, pools", [
+        (2, 10**9, [2]),  # capped at the usable CPUs, below the 3 models
+        (2, 3, [2]),
+        (8, 3, [3]),      # the model count still caps first
+        (1, 3, []),       # one CPU runs in this process
+    ])
+    def test_workers_capped_at_the_usable_cpus(
+        self, cohorts, pool_sizes, monkeypatch, cpus, jobs, pools
+    ):
+        monkeypatch.setattr(distillation, "_usable_cpus", lambda: cpus)
+        catalog, train, valid = cohorts
+        profiles = list(default_catalog(catalog))[:3]
         config = DistillationConfig(lambda_grid=(0.0,), train=fast_train(2))
         results = sweep_profiles(train, valid, profiles, config, jobs=jobs)
         assert pool_sizes == pools

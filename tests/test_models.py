@@ -220,6 +220,8 @@ class TestTraining:
                 TrainConfig(learning_rate=lr)
         with pytest.raises(ValueError, match="patience must be in"):
             TrainConfig(patience=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="max_epochs must be >= 1"):

@@ -1,6 +1,7 @@
 """Pack round trips and format guards."""
 
 import copy
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dosedistill.cli import run_command
 from dosedistill.dataset import load_and_validate, split_cohorts
 from dosedistill.distillation import DistillationConfig, sweep_lambda, train_privileged
 from dosedistill.errors import DataError
@@ -19,6 +21,7 @@ from dosedistill.serialize import (
     config_digest,
     decode_array,
     encode_array,
+    load_json,
     load_pack,
     model_from_obj,
     pack_from_obj,
@@ -186,6 +189,102 @@ def test_pack_whose_bundle_cannot_be_built_is_data_error(trained, edit, message)
     obj["digest"] = config_digest(obj)
     with pytest.raises(DataError, match=f"malformed model pack: .*{message}"):
         pack_from_obj(obj)
+
+
+def re_sign(obj, path, value):
+    """Set the value at ``path`` of a pack (map it, when ``value`` is
+    callable) and give the pack the digest of its new body."""
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+    del obj["digest"]
+    obj["digest"] = config_digest(obj)
+
+
+@pytest.mark.parametrize("path, value", [
+    *((("bundles", 0, "lambda"), v) for v in ("x", [], None, math.nan, -1, True, 0.5)),
+    *((("bundles", 0, "metrics", "mae"), v) for v in ("x", [], None, math.nan, -1, True)),
+    (("bundles", 0, "metrics", "mape"), math.inf),
+    (("bundles", 0, "metrics"), lambda m: m | {  # a float count, and n to match
+        "n": float(m["n"]), "safety": m["safety"] | {"over": float(m["safety"]["over"])}}),
+    (("bundles", 0, "profile", "name"), ""),
+    (("bundles", 0, "profile", "name"), 7),
+    (("lambda_grid",), [False, True]),
+    (("train_config", "seed"), "x"),
+    (("train_config", "seed"), -1),
+    (("train_config", "hidden"), 1e30),
+    (("train_config", "patience"), 1.5),
+    (("train_config", "learning_rate"), True),
+    (("train_config", "adam_eps"), math.nan),
+], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else
+   "float-count" if callable(x) else repr(x))
+def test_pack_whose_values_mean_nothing_is_data_error(trained, path, value):
+    """Under a valid digest, a bundle's lambda is a number on the pack's grid,
+    its errors are finite numbers of at least 0, its counts whole numbers and
+    its profile name a non-empty string, and the recipe's fields are finite
+    numbers, whole where they count; a bool is no number here."""
+    catalog, train, bundle, config = trained
+    obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
+    re_sign(obj, path, value)
+    with pytest.raises(DataError, match="malformed model pack"):
+        pack_from_obj(obj)
+
+
+def leaf_paths(obj, prefix=()):
+    """Every path to a value of a pack that is not a non-empty dict or list."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from leaf_paths(value, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+FUZZ_VALUES = [None, True, -1, 0, 1e30, -1e300, math.nan, "x", [], {}, "0x1p+2000", 1.5]
+
+
+@pytest.fixture(scope="module")
+def served_pack(tmp_path_factory):
+    """A two-profile pack from `train`, a disclosure it serves, and a path
+    for an edited copy."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    data, schema = write_synth(tmp, SyntheticSpec(n=120), seed=4)
+    assert run_command([
+        "train", "--data", str(data), "--schema", str(schema), "--out", str(tmp / "m"),
+        "--profile", "public", "--profile", "With all except genotypic",
+        "--grid", "0,0.5", "--max-epochs", "5", "--patience", "2", "--jobs", "1",
+    ]) == 0
+    header, first = data.read_text().splitlines()[:2]
+    pairs = ",".join(
+        f"{name}={value}" for name, value in zip(header.split(","), first.split(","))
+        if name not in ("patient_id", "weekly_dose_mg")
+    )
+    return load_json(tmp / "m" / "pack.json"), pairs, tmp / "edited.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_pack_with_any_one_leaf_re_signed_is_served_or_refused(served_pack, data):
+    """``predict`` on a pack with one leaf set to an odd value, re-signed,
+    exits 0, 3 or 4 and never raises; a pack it serves decodes to bundles
+    whose fields mean what they say."""
+    obj, pairs, pack = served_pack
+    obj = copy.deepcopy(obj)
+    path = data.draw(st.sampled_from([p for p in leaf_paths(obj) if p != ("digest",)]))
+    re_sign(obj, path, data.draw(st.sampled_from(FUZZ_VALUES)))
+    save_json(pack, obj)
+    code = run_command(["predict", "--model", str(pack), "--disclose", pairs])
+    assert code in (0, 3, 4), path
+    if code == 0:
+        _, _, bundles, config = load_pack(pack)
+        for b in bundles:
+            assert type(b.lam) in (int, float) and b.lam in config.lambda_grid, path
+            for value in (b.metrics.mae, b.metrics.mape):
+                assert type(value) in (int, float) and 0 <= value < math.inf, path
+            counts = (b.metrics.under, b.metrics.within, b.metrics.over)
+            assert all(type(c) is int for c in counts), path
+            assert type(b.profile.name) is str and b.profile.name, path
 
 
 def test_load_pack_gives_each_thread_the_decode_of_the_file_it_read(trained, tmp_path):
