@@ -63,6 +63,8 @@ class DistillationConfig:
         if not self.lambda_grid:
             raise ValueError("lambda grid is empty")
         grid = tuple(self.lambda_grid)
+        if not all(type(g) in (int, float) for g in grid):  # a bool is no number here
+            raise TypeError(f"the lambda grid holds a non-number: {grid!r}")
         if any(not 0.0 <= g <= 1.0 for g in grid) or list(grid) != sorted(set(grid)):
             raise ValueError("lambda grid must be strictly ascending within [0, 1]")
         if not 0 < self.temperature < np.inf:  # refuses nan and inf too

@@ -8,6 +8,7 @@ clinically deduced one, boundary inclusive. Above it is an over-prescription
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,11 @@ class EvalReport:
     over: int
 
     def __post_init__(self):
+        if not all(type(c) is int for c in (self.under, self.within, self.over)):
+            raise TypeError(f"counts must be ints, got {(self.under, self.within, self.over)!r}")
+        for name in ("mae", "mape"):  # a bool is no number here
+            if not (type(value := getattr(self, name)) in (int, float) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
         if min(self.under, self.within, self.over) < 0:
             raise ValueError("a report cannot count below 0")
         if self.n < 1:

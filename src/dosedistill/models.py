@@ -18,7 +18,7 @@ case, and ``mlp_gradient`` reads the same backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 
 import numpy as np
@@ -279,12 +279,22 @@ class TrainConfig:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):  # the range checks below refuse nan and inf
+            value = getattr(self, f.name)
+            whole = type(f.default) is int  # a bool is neither an int nor a number here
+            kind = "an int" if whole else "a number"
+            if type(value) not in ((int,) if whole else (int, float)):
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+            if whole and not -2**63 <= value < 2**63:  # numpy counts and sizes in int64
+                raise ValueError(f"{f.name} must fit in 64 bits")
         if not 0 < self.learning_rate < np.inf:  # refuses nan too
             raise ValueError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam betas must be in [0, 1)")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be finite and positive, got {self.adam_eps}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:

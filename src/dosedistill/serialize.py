@@ -11,8 +11,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -25,7 +24,7 @@ from .distillation import DistillationConfig, DistilledBundle, PrivilegedInputs
 from .errors import DataError
 from .evaluation import EvalReport
 from .models import MlpModel, TrainConfig
-from .profiles import Profile
+from .profiles import Profile, default_catalog
 
 FORMAT_VERSION = 2
 
@@ -113,17 +112,6 @@ def profile_to_obj(profile: Profile) -> dict:
     }
 
 
-def profile_from_obj(obj: dict) -> Profile:
-    if not (isinstance(obj["name"], str) and obj["name"]):
-        raise ValueError(f"a profile name must be a non-empty string, got {obj['name']!r}")
-    return Profile(
-        obj["name"],
-        frozenset(FeatureCategory.from_label(c) for c in obj["redacted_categories"]),
-        frozenset(obj["redacted_features"]),
-        obj["dim"],
-    )
-
-
 def config_digest(obj: Any) -> str:
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -145,23 +133,11 @@ def report_to_obj(report) -> dict:
     }
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a bool, which Python counts as an int."""
-    return type(value) in (int, float)
-
-
 def report_from_obj(obj: dict) -> EvalReport:
-    """The report in ``obj``: finite errors of at least 0 and whole counts.
-    Its ``n`` and percentages are not read: ``pack_from_obj`` checks them
-    by encoding the report again."""
+    """The report in ``obj``. Its ``n`` and percentages are not read:
+    ``pack_from_obj`` checks them by encoding the report again."""
     s = obj["safety"]
-    counts = s["under"], s["within"], s["over"]
-    if not all(type(c) is int for c in counts):
-        raise TypeError(f"safety counts must be whole numbers, got {counts!r}")
-    for name in ("mae", "mape"):
-        if not (_is_number(value := obj[name]) and 0 <= value < math.inf):
-            raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
-    return EvalReport(obj["mae"], obj["mape"], *counts)
+    return EvalReport(obj["mae"], obj["mape"], s["under"], s["within"], s["over"])
 
 
 def bundle_to_obj(bundle: DistilledBundle) -> dict:
@@ -173,9 +149,10 @@ def bundle_to_obj(bundle: DistilledBundle) -> dict:
     }
 
 
-def bundle_from_obj(obj: dict) -> DistilledBundle:
+def bundle_from_obj(obj: dict, profiles: dict[str, Profile]) -> DistilledBundle:
+    """The bundle in ``obj``; it serves the profile of its name in ``profiles``."""
     return DistilledBundle(
-        profile_from_obj(obj["profile"]),
+        profiles[obj["profile"]["name"]],
         model_from_obj(obj["distilled"]),
         obj["lambda"],
         report_from_obj(obj["metrics"]),
@@ -189,12 +166,18 @@ def pack_to_obj(catalog, standardizer, bundles, config: DistillationConfig) -> d
     train an on-demand profile exactly as the stored ones were. ``digest``
     hashes all the rest, so an edit to any value or key, labels included, no
     longer decodes. The pack stores no temperature, so only
-    ``temperature=1`` can be packed.
+    ``temperature=1`` can be packed, and a reader knows a profile by its
+    name alone, so only the catalog's own profiles can be.
     """
     if config.temperature != 1.0:
         raise ValueError(
             f"a pack stores no temperature; cannot pack temperature={config.temperature}"
         )
+    known = set(default_catalog(catalog))
+    for b in bundles:
+        if b.profile not in known:
+            raise ValueError(f"profile {b.profile.name!r} is not one of the catalog's "
+                             "profiles; a pack stores only those")
     body = {
         "format_version": FORMAT_VERSION,
         "catalog": catalog_to_obj(catalog),
@@ -211,19 +194,16 @@ def pack_to_obj(catalog, standardizer, bundles, config: DistillationConfig) -> d
 def pack_from_obj(obj: dict):
     """Decode a pack into ``(catalog, standardizer, bundles, config)``.
 
-    Anything but what ``pack_to_obj`` writes is a DataError: the decoded
-    parts are encoded again and must give back ``obj`` itself, digest
-    included, so a missing, extra, edited or inconsistent key is rejected.
+    Anything but what ``pack_to_obj`` writes is a DataError: each part checks
+    its own values as it is built, each bundle serves the catalog's profile
+    of its name, and the parts are encoded again and must give back ``obj``
+    itself, digest included, so a missing, extra, edited or inconsistent key
+    is rejected.
     """
     version = obj.get("format_version") if isinstance(obj, dict) else None
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported model file version {version!r}")
     try:
-        for f in fields(TrainConfig):  # finite numbers, whole where the default is
-            value = obj["train_config"][f.name]
-            kinds = (int,) if type(f.default) is int else (int, float)  # a bool is neither
-            if type(value) not in kinds or not math.isfinite(value):
-                raise TypeError(f"train_config {f.name} is {value!r}")
         config = DistillationConfig(
             lambda_grid=tuple(obj["lambda_grid"]),
             privileged_inputs=PrivilegedInputs(obj["privileged_inputs"]),
@@ -231,22 +211,18 @@ def pack_from_obj(obj: dict):
             train=TrainConfig(**obj["train_config"]),
         )
         catalog = catalog_from_obj(obj["catalog"])
-        if not all(map(_is_number, config.lambda_grid)):
-            raise TypeError(f"the lambda grid holds a non-number: {obj['lambda_grid']!r}")
-        for b in obj["bundles"]:  # before a bundle lists its profile's features
-            if b["profile"]["dim"] != catalog.d:
-                raise DataError(f"malformed model pack: a profile has dim "
-                                f"{b['profile']['dim']!r}, the catalog {catalog.d}")
-            if not (_is_number(b["lambda"]) and b["lambda"] in config.lambda_grid):
+        profiles = {p.name: p for p in default_catalog(catalog)}
+        for b in obj["bundles"]:  # a bool equals 0 or 1, so only its type tells
+            if type(b["lambda"]) not in (int, float) or b["lambda"] not in config.lambda_grid:
                 raise ValueError(f"a bundle's lambda {b['lambda']!r} is not on the grid")
         parts = (
             catalog,
             standardizer_from_obj(obj["standardizer"]),
-            tuple(bundle_from_obj(b) for b in obj["bundles"]),
+            tuple(bundle_from_obj(b, profiles) for b in obj["bundles"]),
             config,
         )
         canonical = pack_to_obj(*parts) == obj
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, DataError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model pack: {type(exc).__name__}: {exc}") from None
     if not canonical:
         raise DataError("malformed model pack: it is not what its decoded parts encode to")

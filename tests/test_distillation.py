@@ -83,6 +83,12 @@ def test_a_recipe_without_a_grid_or_a_positive_temperature_is_refused(changes, m
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("grid", [(False, True), (0.0, None), ("0.5",)])
+def test_a_grid_of_non_numbers_is_refused(grid):
+    with pytest.raises(TypeError, match="the lambda grid holds a non-number"):
+        DistillationConfig(lambda_grid=grid)
+
+
 class TestPrivileged:
     def test_public_profile_all_features_equals_plain_training(self, cohorts):
         catalog, train, _ = cohorts

@@ -136,6 +136,16 @@ class TestSafetyPartition:
         with pytest.raises(ValueError, match="below 0"):
             EvalReport(0.0, 0.0, *counts)
 
+    @pytest.mark.parametrize("args, error, message", [
+        ((0.0, 0.0, 1.0, 2, 1), TypeError, "counts must be ints"),
+        ((0.0, 0.0, True, 2, 1), TypeError, "counts must be ints"),
+        *(((mae, 0.0, 1, 2, 1), ValueError, "mae must be a finite number of at least 0")
+          for mae in (float("nan"), -1.0, True)),
+    ])
+    def test_a_report_whose_values_mean_nothing_is_refused(self, args, error, message):
+        with pytest.raises(error, match=message):
+            EvalReport(*args)
+
     def test_report_counts_match(self):
         preds = np.array([10.0, 35.0, 50.0])
         truths = np.array([35.0, 35.0, 35.0])

@@ -222,6 +222,17 @@ class TestTraining:
             TrainConfig(patience=-1)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
+        for eps in (-1, 0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="adam_eps must be finite and positive"):
+                TrainConfig(adam_eps=eps)
+        for field, value, kind in [
+            ("seed", True, "an int"), ("hidden", 1.5, "an int"),
+            ("learning_rate", "x", "a number"),
+        ]:
+            with pytest.raises(TypeError, match=f"{field} must be {kind}, got {value!r}"):
+                TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match="hidden must fit in 64 bits"):
+            TrainConfig(hidden=2**63)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="max_epochs must be >= 1"):

@@ -16,7 +16,7 @@ from dosedistill.dataset import load_and_validate, split_cohorts
 from dosedistill.distillation import DistillationConfig, sweep_lambda, train_privileged
 from dosedistill.errors import DataError
 from dosedistill.models import TrainConfig
-from dosedistill.profiles import default_catalog
+from dosedistill.profiles import Disclosure, default_catalog, train_on_demand
 from dosedistill.serialize import (
     config_digest,
     decode_array,
@@ -52,7 +52,7 @@ def trained(tmp_path_factory):
     data, schema = write_synth(tmp_path_factory.mktemp("pack"), SyntheticSpec(n=120), seed=2)
     catalog, records = load_and_validate(data, schema)
     train, valid = split_cohorts(records, catalog, 0.7, seed=0)
-    profile = default_catalog(catalog).resolve("Genotypic except others")
+    profile = default_catalog(catalog).resolve("With all except genotypic")
     config = DistillationConfig(
         lambda_grid=(0.0, 1.0),
         split_ratio=0.7,
@@ -85,6 +85,17 @@ def test_pack_refuses_a_temperature_it_cannot_store(trained):
     hot = replace(config, temperature=50.0)
     with pytest.raises(ValueError, match="temperature"):
         pack_to_obj(catalog, train.standardizer, [bundle], hot)
+
+
+def test_pack_refuses_a_profile_that_is_not_its_catalogs(trained):
+    """A reader knows a stored profile by its name alone, so neither an
+    on-demand profile nor a catalog name over another mask can be packed."""
+    catalog, train, bundle, config = trained
+    custom = train_on_demand(train, train, Disclosure({0: 0.0, 1: 0.0}), config)
+    renamed = replace(custom, profile=replace(custom.profile, name=bundle.profile.name))
+    for b in (custom, renamed):
+        with pytest.raises(ValueError, match=f"profile {b.profile.name!r} is not one of"):
+            pack_to_obj(catalog, train.standardizer, [bundle, b], config)
 
 
 def key_paths(obj, prefix=()):
@@ -176,12 +187,13 @@ def test_pack_with_report_counts_no_evaluation_gives_is_data_error(trained, edit
 
 @pytest.mark.parametrize("edit, message", [
     (lambda bundle: bundle["distilled"].update(b2="0x1p+2000"), "OverflowError"),
-    (lambda bundle: bundle["profile"].update(dim=10**30), "a profile has dim 10000"),
+    (lambda bundle: bundle["profile"].update(dim=10**30),
+     "it is not what its decoded parts encode to"),
 ], ids=["b2-overflows", "dim-not-the-catalogs"])
 def test_pack_whose_bundle_cannot_be_built_is_data_error(trained, edit, message):
     """A bias beyond a float, or a profile as wide as no catalog, is refused
-    under a valid digest; the width is checked before any bundle lists its
-    profile's features, which at 10**30 would exhaust memory."""
+    under a valid digest; a bundle serves the catalog's profile of its name,
+    so no profile 10**30 wide, which would exhaust memory, is ever built."""
     catalog, train, bundle, config = trained
     obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
     edit(obj["bundles"][0])
@@ -210,20 +222,25 @@ def re_sign(obj, path, value):
         "n": float(m["n"]), "safety": m["safety"] | {"over": float(m["safety"]["over"])}}),
     (("bundles", 0, "profile", "name"), ""),
     (("bundles", 0, "profile", "name"), 7),
+    (("bundles", 0, "profile", "name"), "custom-0000"),
+    (("bundles", 0, "profile", "redacted_features", 0), 0),  # a demographic column
     (("lambda_grid",), [False, True]),
     (("train_config", "seed"), "x"),
     (("train_config", "seed"), -1),
     (("train_config", "hidden"), 1e30),
     (("train_config", "patience"), 1.5),
     (("train_config", "learning_rate"), True),
-    (("train_config", "adam_eps"), math.nan),
+    *((("train_config", "adam_eps"), v) for v in (math.nan, -1, 0, math.inf)),
+    pytest.param(("catalog", "features"), lambda fs: [f | {"category": "demographic"} for f in fs],
+                 id="catalog-lacks-a-category"),
 ], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else
    "float-count" if callable(x) else repr(x))
 def test_pack_whose_values_mean_nothing_is_data_error(trained, path, value):
     """Under a valid digest, a bundle's lambda is a number on the pack's grid,
     its errors are finite numbers of at least 0, its counts whole numbers and
-    its profile name a non-empty string, and the recipe's fields are finite
-    numbers, whole where they count; a bool is no number here."""
+    its profile the catalog's of that name, mask and all, the catalog has
+    every category, and the recipe's fields are numbers in range, whole where
+    they count; a bool is no number here."""
     catalog, train, bundle, config = trained
     obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
     re_sign(obj, path, value)
@@ -242,12 +259,14 @@ def leaf_paths(obj, prefix=()):
 
 
 FUZZ_VALUES = [None, True, -1, 0, 1e30, -1e300, math.nan, "x", [], {}, "0x1p+2000", 1.5]
+RECIPE_KEYS = ("train_config", "lambda_grid", "privileged_inputs", "split_ratio")
 
 
 @pytest.fixture(scope="module")
 def served_pack(tmp_path_factory):
-    """A two-profile pack from `train`, a disclosure it serves, and a path
-    for an edited copy."""
+    """A two-profile pack from `train`, a disclosure it serves, a
+    demographic-only one that only on-demand training serves, the options
+    that train it, and a path for an edited copy."""
     tmp = tmp_path_factory.mktemp("fuzz")
     data, schema = write_synth(tmp, SyntheticSpec(n=120), seed=4)
     assert run_command([
@@ -256,25 +275,35 @@ def served_pack(tmp_path_factory):
         "--grid", "0,0.5", "--max-epochs", "5", "--patience", "2", "--jobs", "1",
     ]) == 0
     header, first = data.read_text().splitlines()[:2]
-    pairs = ",".join(
+    named = [
         f"{name}={value}" for name, value in zip(header.split(","), first.split(","))
         if name not in ("patient_id", "weekly_dose_mg")
-    )
-    return load_json(tmp / "m" / "pack.json"), pairs, tmp / "edited.json"
+    ]
+    disclosures = {
+        False: ",".join(named),
+        True: ",".join(p for p in named if p.startswith("demographic_")),
+    }
+    return (load_json(tmp / "m" / "pack.json"), disclosures,
+            ["--data", str(data), "--schema", str(schema)], tmp / "edited.json")
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_a_pack_with_any_one_leaf_re_signed_is_served_or_refused(served_pack, data):
     """``predict`` on a pack with one leaf set to an odd value, re-signed,
-    exits 0, 3 or 4 and never raises; a pack it serves decodes to bundles
+    exits 0, 3 or 4 and never raises, whether a stored profile serves or the
+    pack's recipe trains one on demand; a pack it serves decodes to bundles
     whose fields mean what they say."""
-    obj, pairs, pack = served_pack
+    obj, disclosures, data_options, pack = served_pack
     obj = copy.deepcopy(obj)
-    path = data.draw(st.sampled_from([p for p in leaf_paths(obj) if p != ("digest",)]))
+    on_demand = data.draw(st.booleans())  # then a leaf of the recipe it trains by
+    leaves = [p for p in leaf_paths(obj) if p != ("digest",)
+              and (not on_demand or p[0] in RECIPE_KEYS)]
+    path = data.draw(st.sampled_from(leaves))
     re_sign(obj, path, data.draw(st.sampled_from(FUZZ_VALUES)))
     save_json(pack, obj)
-    code = run_command(["predict", "--model", str(pack), "--disclose", pairs])
+    code = run_command(["predict", "--model", str(pack), "--disclose", disclosures[on_demand],
+                        *(data_options if on_demand else [])])
     assert code in (0, 3, 4), path
     if code == 0:
         _, _, bundles, config = load_pack(pack)
