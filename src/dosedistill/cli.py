@@ -449,9 +449,12 @@ def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config):
         raise DataError("--data is not the data this model pack was trained on")
     _last_on_demand = last
     if disclosure.disclosed not in bundles:
-        bundles[disclosure.disclosed] = train_on_demand(
-            train, valid, disclosure, config, teachers
-        )
+        try:
+            bundles[disclosure.disclosed] = train_on_demand(
+                train, valid, disclosure, config, teachers
+            )
+        except ValueError as exc:  # the pack's recipe, such as a size numpy refuses
+            raise DataError(f"model pack {args.model} cannot train on demand: {exc}") from None
     return bundles[disclosure.disclosed]
 
 

@@ -279,6 +279,10 @@ def _parse_schema(schema_path: str | Path, text: str | None = None) -> dict:
             raise DataError(
                 f"schema {path}: feature {f['name']!r} has unknown kind {f['kind']!r}"
             )
+        try:
+            FeatureCategory.from_label(f["category"])
+        except DataError as exc:
+            raise DataError(f"schema {path}: feature {f['name']!r}: {exc}") from None
     names = [f["name"] for f in feats]
     if schema["target"] in names:
         raise DataError(f"target column {schema['target']!r} also declared as a feature")

@@ -117,27 +117,21 @@ class DistilledBundle:
             )
 
 
-def _blend(y: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
-    """(1 - lambda) * y + lambda * s; lambda = 0 is y itself."""
-    return y if lam == 0.0 else (1.0 - lam) * y + lam * s
-
-
 def train_distilled(
     train: Cohort,
     profile: Profile,
     privileged: MlpModel,
     config: DistillationConfig,
 ) -> MlpModel:
-    """Fit the per-profile model on visible features against blended targets,
-    at the one lambda of ``config.lambda_grid``."""
+    """The student ``sweep_profiles`` trains on visible features at the one
+    lambda of ``config.lambda_grid``, taught by ``privileged``."""
     if len(config.lambda_grid) != 1:
         raise ValueError(
             f"train_distilled fits one lambda; the grid has {len(config.lambda_grid)}"
         )
     cols = privileged_feature_indices(profile, config.privileged_inputs)
-    s = soft_targets(privileged, train.X[:, cols], config.temperature)
-    targets = _blend(train.y, s, config.lambda_grid[0])
-    return train_mlp(train.X[:, list(profile.visible_features)], targets, config.train)
+    [student] = _students(train, [profile], config, {cols: privileged})
+    return student
 
 
 def _usable_cpus() -> int:
@@ -145,6 +139,54 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _students(
+    train: Cohort, profiles: Sequence[Profile], config: DistillationConfig, teachers: dict, jobs=1
+) -> list[MlpModel]:
+    """Every (profile, lambda) student, in that order; no other code trains one.
+
+    Each profile's teacher is ``teachers[cols]``, fitted into it if absent,
+    where ``cols`` are its privileged columns. The blended objective is plain
+    squared error against (1 - lambda) * y + lambda * s, so the students
+    differ only in their targets and their visible columns: they share the
+    rows, the seed, the hold-out split and every shuffle. So the flat
+    (profile, lambda) list is dealt round-robin to ``min(jobs, students,
+    usable CPUs)`` workers, and each trains its share as one
+    ``train_mlp_stack``, grouped by profile; one worker runs in this process,
+    more in a pool of worker processes. Each student is bit for bit the one
+    a lone ``train_mlp`` on its columns and targets returns.
+    """
+    grid, n = config.lambda_grid, len(train.y)
+    targets = np.empty((len(profiles), len(grid), n))
+    columns = []
+    for i, profile in enumerate(profiles):
+        cols = privileged_feature_indices(profile, config.privileged_inputs)
+        if cols not in teachers:
+            teachers[cols] = train_privileged(train, profile, config)
+        s = soft_targets(teachers[cols], train.X[:, cols], config.temperature)
+        targets[i] = [train.y if lam == 0.0 else (1.0 - lam) * train.y + lam * s for lam in grid]
+        columns += [profile.visible_features] * len(grid)
+    targets = targets.reshape(-1, n)  # one row per (profile, lambda)
+    workers = min(jobs, len(targets), _usable_cpus())
+    shares = (
+        repeat(train.X),
+        [targets[w::workers] for w in range(workers)],
+        repeat(config.train),
+        [columns[w::workers] for w in range(workers)],
+    )
+    if workers <= 1:
+        trained = list(map(train_mlp_stack, *shares))
+    else:
+        # imported here: a process that never fans out does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trained = list(pool.map(train_mlp_stack, *shares))
+    students = [None] * len(targets)
+    for w, models in enumerate(trained):
+        students[w::workers] = models
+    return students
 
 
 def sweep_lambda(
@@ -157,10 +199,10 @@ def sweep_lambda(
     """Train one model per grid value against a shared privileged model:
     ``sweep_profiles`` for one profile, with ``privileged`` as its teacher.
 
-    Each model is bit for bit the one ``train_distilled`` returns at its
-    lambda. Returns every (lambda, validation report) point in grid order
-    plus the bundle with the lowest validation MAE; ties go to the smaller
-    lambda. The lambda = 0 point doubles as the partially-redacted baseline.
+    Each model is the one ``train_distilled`` returns at its lambda. Returns
+    every (lambda, validation report) point in grid order plus the bundle
+    with the lowest validation MAE; ties go to the smaller lambda. The
+    lambda = 0 point doubles as the partially-redacted baseline.
     """
     cols = privileged_feature_indices(profile, config.privileged_inputs)
     [result] = sweep_profiles(train, valid, [profile], config, {cols: privileged})
@@ -182,50 +224,11 @@ def sweep_profiles(
     (``privileged_feature_indices``) and ``config.train``, so each distinct
     privileged column set is fitted once, into ``teachers``; a caller may
     seed it with models fitted on the same ``train`` and ``config.train``,
-    keyed by their column tuples.
-
-    The blended objective is plain squared error against
-    (1 - lambda) * y + lambda * s, so the students differ only in their
-    targets and their visible columns: they share the rows, the seed, the
-    hold-out split and every shuffle. So after the teachers, the flat
-    (profile, lambda) list of students is dealt round-robin to
-    ``min(jobs, students, usable CPUs)`` workers, and each trains its share
-    as one ``train_mlp_stack``, grouped by profile; one worker runs in this
-    process, more in a pool of worker processes. Each student is bit for
-    bit the one a lone ``train_mlp`` on its columns and targets returns.
-    The students are then scored here and each profile's best is picked.
+    keyed by their column tuples. ``_students`` trains every student, on
+    ``jobs`` workers; they are scored here and each profile's best is picked.
     """
-    teachers = {} if teachers is None else teachers
-    grid, n = config.lambda_grid, len(train.y)
-    targets = np.empty((len(profiles), len(grid), n))
-    columns = []
-    for i, profile in enumerate(profiles):
-        cols = privileged_feature_indices(profile, config.privileged_inputs)
-        if cols not in teachers:
-            teachers[cols] = train_privileged(train, profile, config)
-        s = soft_targets(teachers[cols], train.X[:, cols], config.temperature)
-        targets[i] = [_blend(train.y, s, lam) for lam in grid]
-        columns += [profile.visible_features] * len(grid)
-    targets = targets.reshape(-1, n)  # one row per (profile, lambda)
-    workers = min(jobs, len(targets), _usable_cpus())
-    shares = (
-        repeat(train.X),
-        [targets[w::workers] for w in range(workers)],
-        repeat(config.train),
-        [columns[w::workers] for w in range(workers)],
-    )
-    if workers <= 1:
-        trained = list(map(train_mlp_stack, *shares))
-    else:
-        # imported here: a process that never fans out does not load the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(train_mlp_stack, *shares))
-    students = [None] * len(targets)
-    for w, models in enumerate(trained):
-        students[w::workers] = models
-
+    grid = config.lambda_grid
+    students = _students(train, profiles, config, {} if teachers is None else teachers, jobs)
     results = []
     for i, profile in enumerate(profiles):
         rows = [

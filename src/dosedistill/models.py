@@ -313,17 +313,17 @@ class TrainConfig:
 def train_mlp_stack(X, targets, config: TrainConfig, columns=None) -> list[MlpModel]:
     """Train one model per row of ``targets`` (K, n) on the shared rows ``X``.
 
-    Member k reads the columns ``columns[k]`` of ``X`` (every column when
-    ``columns`` is None). Each model is what a lone run of mini-batch Adam on
-    squared error over its columns would return for its targets, bit for
-    bit: the members share the hold-out split and every epoch's shuffle,
-    because neither depends on the targets or the columns, and Adam updates
-    each parameter on its own. Consecutive members that read the same
-    columns form a group, which shares the seeded initialization at its
-    width and runs its first-layer products as one ``matmul``; everything
-    else runs once over all K parameter sets, which sit in one flat buffer
-    that every step updates in place, with ``out=`` ufuncs in the order of
-    operations of a single run.
+    Member k reads the columns ``columns[k]`` of ``X``, every column when
+    ``columns`` is None, through the same gather. Each model is what a lone
+    run of mini-batch Adam on squared error over its columns would return
+    for its targets, bit for bit: the members share the hold-out split and
+    every epoch's shuffle, because neither depends on the targets or the
+    columns, and Adam updates each parameter on its own. Consecutive members
+    that read the same columns form a group, which shares the seeded
+    initialization at its width and runs its first-layer products as one
+    ``matmul``; everything else runs once over all K parameter sets, which
+    sit in one flat buffer that every step updates in place, with ``out=``
+    ufuncs in the order of operations of a single run.
 
     The early-stopping slice is the last 10% of a seeded shuffle of the
     training rows, so reported validation metrics never leak into stopping.
@@ -345,21 +345,17 @@ def train_mlp_stack(X, targets, config: TrainConfig, columns=None) -> list[MlpMo
         raise DataError(f"need at least 2 rows to train, got {n}")
     K = len(T)
     if columns is None:
-        runs = [(None, K)]
+        columns = [range(X.shape[1])] * K
     elif len(columns) != K:
         raise ValueError(f"{len(columns)} column lists for {K} rows of targets")
-    else:
-        runs = [(cols, len(list(run))) for cols, run in groupby(map(tuple, columns))]
+    runs = [(cols, len(list(run))) for cols, run in groupby(map(tuple, columns))]
 
     rng = np.random.default_rng(config.seed + 1)  # init uses config.seed itself
     perm = rng.permutation(n)
     n_hold = min(max(1, int(round(n * config.holdout_fraction))), n - 1)
     fit_idx, hold_idx = perm[: n - n_hold], perm[n - n_hold :]
-    Xf, Xh = [], []  # each group's fit and held-out rows
-    for cols, _ in runs:
-        x = X if cols is None else X[:, list(cols)]
-        Xf.append(x[fit_idx])
-        Xh.append(x[hold_idx])
+    Xf = [X[np.ix_(fit_idx, cols)] for cols, _ in runs]  # each group's fit rows
+    Xh = [X[np.ix_(hold_idx, cols)] for cols, _ in runs]  # and held-out rows
     Tf, Th = T[:, fit_idx], T[:, hold_idx]
     # row by row: Tf and Th, indexed by columns, are column-major, so a mean
     # along axis 1 would add each row in an order that depends on K

@@ -1264,6 +1264,8 @@ class TestOnDemandLoader:
         "{not json", '{"features": []}', '{"target": "y", "features": []}',
         '{"id": ["x"], "target": "y", '
         '"features": [{"name": "w", "category": "background", "kind": "numeric"}]}',
+        '{"target": "y", '
+        '"features": [{"name": "w", "category": "astrological", "kind": "numeric"}]}',
     ])
     @pytest.mark.parametrize("body", [None, b"weight,race,weekly_dose_mg\n70,\xe9,30\n"])
     def test_a_bad_schema_is_reported_before_bad_data(
@@ -1295,6 +1297,28 @@ class TestOnDemandLoader:
         assert parsed[0] == loaded[0]
         for a, b in zip(parsed[1].__dict__.values(), loaded[1].__dict__.values()):
             assert np.array_equal(a, b)
+
+    def test_a_recipe_numpy_cannot_size_is_the_packs_data_error(
+        self, tmp_path, capsys, monkeypatch, public_pack
+    ):
+        """A re-signed hidden width of 2**62 passes the recipe's 64-bit bound,
+        and numpy refuses it with a ``ValueError`` when on-demand training
+        sizes the teacher: the pack is at fault, so it exits 3 naming it."""
+        monkeypatch.setattr(cli, "_last_on_demand", None)
+        obj = json.loads(public_pack.read_text())
+        obj["train_config"]["hidden"] = 2**62
+        del obj["digest"]
+        obj["digest"] = config_digest(obj)
+        pack = tmp_path / "pack.json"
+        save_json(pack, obj)
+        data = public_pack.parent / "data"
+        assert run_command([
+            "predict", "--model", str(pack), "--disclose", "demographic_1=0.3",
+            "--data", str(data / "data.csv"), "--schema", str(data / "schema.json"),
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: model pack {pack} cannot train on demand: ")
 
 
 class TestDisclosureValues:

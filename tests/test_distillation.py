@@ -11,6 +11,7 @@ import pytest
 from dosedistill import distillation
 from dosedistill.dataset import load_and_validate, split_cohorts
 from dosedistill.distillation import (
+    DEFAULT_GRID,
     DistillationConfig,
     DistilledBundle,
     PrivilegedInputs,
@@ -22,6 +23,7 @@ from dosedistill.distillation import (
     train_privileged,
 )
 from dosedistill.errors import DataError
+from dosedistill.evaluation import evaluate_model
 from dosedistill.models import MlpModel, TrainConfig, models_equal, train_mlp
 from dosedistill.profiles import default_catalog
 from dosedistill.synthetic import SyntheticSpec
@@ -262,6 +264,24 @@ class TestSweepProfiles:
         assert pool_sizes == pools
         assert [best.profile for _, best in results] == profiles
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lambda_zero_is_plain_training_at_the_shape_train_runs(
+        self, cohorts, monkeypatch, jobs
+    ):
+        """Every profile on the 11-point grid, 99 students dealt to ``jobs``
+        workers and grouped by profile: each profile's lambda = 0 point
+        scores as the plain fit on its visible columns."""
+        monkeypatch.setattr(distillation, "_usable_cpus", lambda: 2)
+        catalog, train, valid = cohorts
+        profiles = list(default_catalog(catalog))
+        config = DistillationConfig(lambda_grid=DEFAULT_GRID, train=fast_train(8))
+        results = sweep_profiles(train, valid, profiles, config, jobs=jobs)
+        assert len(DEFAULT_GRID) == 11 and len(results) == len(profiles) == 9
+        for profile, (points, _) in zip(profiles, results):
+            plain = train_mlp(train.X[:, list(profile.visible_features)], train.y, config.train)
+            assert points[0] == (0.0, evaluate_model(plain, valid, profile)), profile.name
+        assert multiprocessing.active_children() == []
+
 
 class TestSweep:
     def test_grid_of_zero_equals_partial_baseline(self, cohorts):
@@ -347,8 +367,9 @@ class TestTemperaturePath:
         assert mean_abs_pred(50.0) < 0.6 * mean_abs_pred(1.0)
 
 
-def _split_callers(path: Path) -> list[tuple[str, str]]:
-    """(file, top-level function or Class.method) of each split_cohorts call."""
+def _callers(path: Path, name: str) -> list[tuple[str, str]]:
+    """(file, top-level function or Class.method) of each use of the function
+    ``name``: a call, or the function passed on to a map."""
     scopes = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.ClassDef):
@@ -356,11 +377,11 @@ def _split_callers(path: Path) -> list[tuple[str, str]]:
         else:
             scopes.append((getattr(node, "name", "<module>"), node))
     return [
-        (path.name, name)
-        for name, scope in scopes
-        for call in ast.walk(scope)
-        if isinstance(call, ast.Call)
-        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "split_cohorts"
+        (path.name, scope_name)
+        for scope_name, scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and getattr(node, "id", getattr(node, "attr", None)) == name
     ]
 
 
@@ -369,8 +390,38 @@ def test_only_the_recipe_splits():
     so the split ratio and seed cannot drift from the recipe; select-features
     has no recipe and splits by hand."""
     package = Path(distillation.__file__).parent
-    callers = [c for path in sorted(package.glob("*.py")) for c in _split_callers(path)]
+    callers = [c for p in sorted(package.glob("*.py")) for c in _callers(p, "split_cohorts")]
     assert callers == [
         ("cli.py", "_cmd_select_features"),
         ("distillation.py", "DistillationConfig.split"),
     ]
+
+
+def test_only_the_student_builder_trains_students():
+    """Soft targets are made, and the training kernel entered, only where
+    every student is built, and the kernel also by ``train_mlp``; so
+    ``train_distilled`` asks the builder for its student, with no arithmetic
+    of its own, and no second student path can come back. ``columns=None``
+    takes the kernel's one gather: its only None test is of ``columns``."""
+    package = Path(distillation.__file__).parent
+
+    def callers(name):
+        return {c for path in package.glob("*.py") for c in _callers(path, name)}
+
+    def function(module, name):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        return next(f for f in tree.body if getattr(f, "name", None) == name)
+
+    assert callers("soft_targets") == {("distillation.py", "_students")}
+    assert callers("train_mlp_stack") == {
+        ("distillation.py", "_students"), ("models.py", "train_mlp"),
+    }
+    assert ("distillation.py", "train_distilled") not in callers("train_mlp")
+    distilled = function("distillation.py", "train_distilled")
+    assert not [node for node in ast.walk(distilled) if isinstance(node, ast.BinOp)]
+    assert [
+        ast.unparse(node) for node in ast.walk(function("models.py", "train_mlp_stack"))
+        if isinstance(node, ast.Compare) and any(
+            isinstance(c, ast.Constant) and c.value is None for c in node.comparators
+        )
+    ] == ["columns is None"]

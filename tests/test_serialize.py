@@ -260,6 +260,8 @@ def leaf_paths(obj, prefix=()):
 
 FUZZ_VALUES = [None, True, -1, 0, 1e30, -1e300, math.nan, "x", [], {}, "0x1p+2000", 1.5]
 RECIPE_KEYS = ("train_config", "lambda_grid", "privileged_inputs", "split_ratio")
+# in range for most fields of the recipe, so that an edit of it often trains
+IN_RANGE = [1, 2, 0.5, 1e-3]
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +294,8 @@ def served_pack(tmp_path_factory):
 def test_a_pack_with_any_one_leaf_re_signed_is_served_or_refused(served_pack, data):
     """``predict`` on a pack with one leaf set to an odd value, re-signed,
     exits 0, 3 or 4 and never raises, whether a stored profile serves or the
-    pack's recipe trains one on demand; a pack it serves decodes to bundles
+    pack's recipe trains one on demand (a recipe leaf may also take a value
+    in range, so that it trains); a pack it serves decodes to bundles
     whose fields mean what they say."""
     obj, disclosures, data_options, pack = served_pack
     obj = copy.deepcopy(obj)
@@ -300,7 +303,10 @@ def test_a_pack_with_any_one_leaf_re_signed_is_served_or_refused(served_pack, da
     leaves = [p for p in leaf_paths(obj) if p != ("digest",)
               and (not on_demand or p[0] in RECIPE_KEYS)]
     path = data.draw(st.sampled_from(leaves))
-    re_sign(obj, path, data.draw(st.sampled_from(FUZZ_VALUES)))
+    values = st.sampled_from(FUZZ_VALUES)
+    if on_demand:
+        values = st.one_of(values, st.sampled_from(IN_RANGE))
+    re_sign(obj, path, data.draw(values))
     save_json(pack, obj)
     code = run_command(["predict", "--model", str(pack), "--disclose", disclosures[on_demand],
                         *(data_options if on_demand else [])])
