@@ -230,7 +230,11 @@ def _resolve_profiles(catalog, names: Sequence[str] | None) -> list[Profile]:
     profiles = default_catalog(catalog)
     if not names:
         return list(profiles)
-    return [profiles.resolve(n) for n in names]
+    chosen = [profiles.resolve(n) for n in names]
+    for k, (name, profile) in enumerate(zip(names, chosen)):
+        if profile in chosen[:k]:
+            raise DataError(f"--profile {name!r} repeats profile {profile.name!r}")
+    return chosen
 
 
 # ---------------------------------------------------------------- commands
@@ -311,10 +315,9 @@ def _cmd_train(args) -> str:
     """Sweep each requested profile's grid; write its pack, report and per-lambda table."""
     config = _distill_config(args)
     catalog, records = load_and_validate(args.data, args.schema)
+    profiles = _resolve_profiles(catalog, args.profile)
     train, valid = config.split(records, catalog)
-    swept = sweep_profiles(
-        train, valid, _resolve_profiles(catalog, args.profile), config, jobs=args.jobs
-    )
+    swept = sweep_profiles(train, valid, profiles, config, jobs=args.jobs)
     bundles = [best for _, best in swept]
     out = _made(args.out)
     pack = serialize.pack_to_obj(catalog, train.standardizer, bundles, config)
@@ -392,9 +395,10 @@ def _parse_disclosure(spec: str, catalog: FeatureCatalog, standardizer) -> Discl
         if "=" not in pair:
             raise DataError(f"bad disclosure item {pair!r}; expected name=value")
         name, raw = pair.split("=", 1)
-        idx = catalog.index_of(name.strip())
+        name = name.strip()
+        idx = catalog.index_of(name)
         if idx in values:
-            raise DataError(f"feature {name.strip()!r} is disclosed more than once")
+            raise DataError(f"feature {name!r} is disclosed more than once")
         feat = catalog.features[idx]
         if feat.kind == "categorical":
             encoded = float(feat.encode(raw.strip()))

@@ -16,14 +16,6 @@ class NumericError(DoseDistillError):
 class TrainingDivergedError(NumericError):
     """Training produced a non-finite loss."""
 
-    def __init__(self, message: str, epoch: int):
-        super().__init__(message)
-        self.epoch = epoch
-
-    def __reduce__(self):
-        # pickle (a worker process returning its failure) re-calls __init__
-        return type(self), (*self.args, self.epoch)
-
 
 class NoFeasibleProfileError(DoseDistillError):
     """No stored profile's required features fit inside a disclosure."""

@@ -127,7 +127,7 @@ class MlpModel:
         return h @ self.w2 + self.b2
 
 
-def mlp_new(d: int, hidden: int = 32, seed: int = 0) -> MlpModel:
+def mlp_new(d: int, hidden: int, seed: int) -> MlpModel:
     """Glorot-uniform weights, zero biases; deterministic under seed."""
     if d < 1 or hidden < 1:
         raise ValueError("d and hidden must be >= 1")
@@ -397,9 +397,7 @@ def train_mlp_stack(X, targets, config: TrainConfig, columns=None) -> list[MlpMo
             stop = start + config.batch_size
             loss = _backprop(p, [xe[start:stop] for xe in Xe], Te[:, start:stop], g)
             if not np.isfinite(loss).all():
-                raise TrainingDivergedError(
-                    f"non-finite training loss at epoch {epoch}", epoch
-                )
+                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
             step += 1
             corr1 = 1.0 - b1c**step
             corr2 = 1.0 - b2c**step
@@ -424,9 +422,7 @@ def train_mlp_stack(X, targets, config: TrainConfig, columns=None) -> list[MlpMo
         err -= Th
         hold_loss = np.mean(np.square(err, out=err), axis=1)
         if not np.isfinite(hold_loss).all():
-            raise TrainingDivergedError(
-                f"non-finite held-out loss at epoch {epoch}", epoch
-            )
+            raise TrainingDivergedError(f"non-finite held-out loss at epoch {epoch}")
         better = hold_loss < best_loss[live]
         if better.any():
             best_loss[live[better]] = hold_loss[better]
@@ -458,7 +454,7 @@ def train_mlp_stack(X, targets, config: TrainConfig, columns=None) -> list[MlpMo
         raise TrainingDivergedError(
             f"training diverged: best held-out loss {best_loss[k]:.3g} is over "
             f"{DIVERGENCE_RATIO:g} times the {constant_loss[k]:.3g} of a constant "
-            "prediction", epoch
+            f"prediction at epoch {epoch}"
         )
     return [MlpModel(W1, b1, w2, b2 + float(offset))
             for (W1, b1, w2, b2), offset in zip(done, mu)]

@@ -56,15 +56,13 @@ def model_to_obj(model: MlpModel) -> dict:
 
 
 def model_from_obj(obj: dict) -> MlpModel:
-    kind = obj.get("kind")
-    if kind == "mlp":
-        return MlpModel(
-            decode_array(obj["W1"]),
-            decode_array(obj["b1"]),
-            decode_array(obj["w2"]),
-            float.fromhex(obj["b2"]),
-        )
-    raise DataError(f"unknown model kind {kind!r}")
+    """The model in ``obj``; ``pack_from_obj`` checks its ``kind`` by encoding it again."""
+    return MlpModel(
+        decode_array(obj["W1"]),
+        decode_array(obj["b1"]),
+        decode_array(obj["w2"]),
+        float.fromhex(obj["b2"]),
+    )
 
 
 def catalog_to_obj(catalog: FeatureCatalog) -> dict:
@@ -167,17 +165,20 @@ def pack_to_obj(catalog, standardizer, bundles, config: DistillationConfig) -> d
     hashes all the rest, so an edit to any value or key, labels included, no
     longer decodes. The pack stores no temperature, so only
     ``temperature=1`` can be packed, and a reader knows a profile by its
-    name alone, so only the catalog's own profiles can be.
+    name alone, so only the catalog's own profiles can be, each once.
     """
     if config.temperature != 1.0:
         raise ValueError(
             f"a pack stores no temperature; cannot pack temperature={config.temperature}"
         )
     known = set(default_catalog(catalog))
-    for b in bundles:
+    for k, b in enumerate(bundles):
         if b.profile not in known:
             raise ValueError(f"profile {b.profile.name!r} is not one of the catalog's "
                              "profiles; a pack stores only those")
+        if b.profile in (a.profile for a in bundles[:k]):
+            raise ValueError(f"profile {b.profile.name!r} has two bundles; a pack "
+                             "stores one per profile")
     body = {
         "format_version": FORMAT_VERSION,
         "catalog": catalog_to_obj(catalog),

@@ -71,12 +71,7 @@ class SyntheticSpec:
             raise DataError("spec leaves no visible features to generate a signal from")
 
     def count(self, category: FeatureCategory) -> int:
-        return {
-            FeatureCategory.DEMOGRAPHIC: self.demographic,
-            FeatureCategory.BACKGROUND: self.background,
-            FeatureCategory.PHENOTYPIC: self.phenotypic,
-            FeatureCategory.GENOTYPIC: self.genotypic,
-        }[category]
+        return getattr(self, category.label)
 
     @property
     def d(self) -> int:

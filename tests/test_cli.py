@@ -1,6 +1,7 @@
 """End-to-end command-line behavior."""
 
 import ast
+import copy
 import csv
 import json
 import multiprocessing
@@ -64,7 +65,7 @@ THREE_PROFILES = [
 
 def diverge_in_this_process(*args):
     """A stand-in for a worker's stack; module level, so a pool can send it."""
-    raise TrainingDivergedError(f"loss became nan in process {os.getpid()}", 3)
+    raise TrainingDivergedError(f"loss became nan in process {os.getpid()}")
 
 
 def outputs_by_jobs(tmp_path, argv, files):
@@ -801,38 +802,34 @@ class TestTrainPredict:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_a_repeated_profile_name_is_served_by_the_bundle_it_assigns(
-        self, tmp_path, capsys
-    ):
-        """Of two bundles with one profile name, assignment picks the first, and
-        the first serves the dose, though the second predicts 1000 mg more."""
+    def test_a_profile_named_twice_is_refused(self, tmp_path, capsys):
         data, schema = synth(tmp_path)
         out = tmp_path / "m"
+        capsys.readouterr()
         assert run_command([
             "train", "--data", str(data), "--schema", str(schema), "--out", str(out),
             "--profile", "public", "--profile", "Public patient", "--grid", "0", *FAST,
-        ]) == 0
-        obj = json.loads((out / "pack.json").read_text())
-        assert [b["profile"]["name"] for b in obj["bundles"]] == ["Public patient"] * 2
-        second = obj["bundles"][1]["distilled"]
-        second["b2"] = (float.fromhex(second["b2"]) + 1000.0).hex()
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --profile 'Public patient' repeats profile 'Public patient'\n"
+        assert not out.exists()
+
+    def test_a_pack_with_a_copied_bundle_is_malformed(self, public_pack, tmp_path, capsys):
+        """A re-signed pack whose bundles repeat a profile is refused: no
+        reader could tell which of them serves it."""
+        obj = json.loads(public_pack.read_text())
+        obj["bundles"].append(copy.deepcopy(obj["bundles"][0]))
         del obj["digest"]
         obj["digest"] = config_digest(obj)
-        save_json(out / "pack.json", obj)
-        catalog, standardizer, bundles, _ = pack_from_obj(obj)
-        header, first = read_rows(data)[:2]
-        pairs = ",".join(
-            f"{col}={value}" for col, value in zip(header, first)
-            if col not in ("patient_id", "weekly_dose_mg")
-        )
-        values = _parse_disclosure(pairs, catalog, standardizer).values
-        dose = float(bundles[0].distilled.predict([[values[i] for i in sorted(values)]])[0])
-        capsys.readouterr()
-        assert run_command(["predict", "--model", str(out / "pack.json"),
-                            "--disclose", pairs]) == 0
-        assert capsys.readouterr().out == (
-            "profile: Public patient (exact match)\n"
-            f"predicted weekly dose: {dose:.2f} mg/week\n"
+        pack = tmp_path / "pack.json"
+        save_json(pack, obj)
+        assert run_command(["predict", "--model", str(pack),
+                            "--disclose", "demographic_1=0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: malformed model pack: ValueError: profile 'Public patient' has two bundles"
         )
 
     def test_train_public_writes_model_and_report(self, tmp_path):
@@ -1478,6 +1475,16 @@ class TestDisclosureSpecs:
         except DataError:
             return
         assert disclosure.disclosed and len(disclosure.values) <= catalog.d
+
+    @pytest.mark.parametrize("raw, problem", [
+        ("x", "unparseable number 'x'"), ("nan", "'nan' is non-finite once standardized"),
+    ])
+    def test_an_error_names_the_feature_without_its_padding(
+        self, catalog_and_standardizer, raw, problem
+    ):
+        with pytest.raises(DataError) as err:
+            _parse_disclosure(f" demographic_1 ={raw}", *catalog_and_standardizer)
+        assert str(err.value) == f"feature 'demographic_1': {problem}"
 
     @pytest.mark.parametrize("spec", [
         ",", "demographic_0", "no_such_feature=1", "=1", "demographic_1=abc",

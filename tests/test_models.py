@@ -198,9 +198,8 @@ class TestTraining:
     def test_divergence_error_names_epoch(self):
         X = np.ones((10, 2)) + np.arange(20).reshape(10, 2)
         y = np.full(10, np.nan)
-        with pytest.raises(TrainingDivergedError, match="epoch 1") as err:
+        with pytest.raises(TrainingDivergedError, match="at epoch 1$"):
             train_mlp(X, y, TrainConfig(seed=0))
-        assert err.value.epoch == 1
 
     def test_needs_two_rows(self):
         with pytest.raises(DataError):
@@ -288,7 +287,8 @@ class TestStack:
         X, T = stopping_targets()
         cfg = TrainConfig(seed=4, max_epochs=60, patience=3)
         assert len(train_mlp_stack(X, T, cfg)) == len(T)
-        with pytest.raises(TrainingDivergedError, match="over 10 times .* constant"):
+        diverged = r"over 10 times .* constant prediction at epoch \d+$"
+        with pytest.raises(TrainingDivergedError, match=diverged):
             train_mlp_stack(X, T, replace(cfg, learning_rate=1e9))
 
     def test_targets_must_be_one_row_per_member(self):
@@ -347,10 +347,9 @@ class TestGroupedStack:
         cfg = TrainConfig(seed=4, max_epochs=60, patience=60)
         with pytest.raises(TrainingDivergedError) as lone:
             train_mlp(X[:, list(columns[2])], T[2], cfg)
-        assert lone.value.epoch > 1
+        assert int(str(lone.value).rsplit(" ", 1)[1]) > 1  # "... at epoch N"
         with pytest.raises(TrainingDivergedError) as grouped:
             train_mlp_stack(X, T, cfg, columns)
-        assert grouped.value.epoch == lone.value.epoch
         assert str(grouped.value) == str(lone.value)
 
     def test_one_column_list_per_member(self):

@@ -1,6 +1,8 @@
 """Pack round trips and format guards."""
 
+import ast
 import copy
+import inspect
 import math
 import sys
 import threading
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dosedistill import serialize
 from dosedistill.cli import run_command
 from dosedistill.dataset import load_and_validate, split_cohorts
 from dosedistill.distillation import DistillationConfig, sweep_lambda, train_privileged
@@ -23,7 +26,6 @@ from dosedistill.serialize import (
     encode_array,
     load_json,
     load_pack,
-    model_from_obj,
     pack_from_obj,
     pack_to_obj,
     save_json,
@@ -40,11 +42,21 @@ def test_array_codec_bit_faithful():
     assert back.dtype == np.float64
 
 
-def test_unknown_model_kind_rejected():
-    linear = {"kind": "linear", "alpha": encode_array(np.ones(3)), "beta": (1.0).hex()}
-    for obj in ({"kind": "forest"}, linear):
-        with pytest.raises(DataError, match="unknown model kind"):
-            model_from_obj(obj)
+DECODERS = {"decode_array", "model_from_obj", "catalog_from_obj", "standardizer_from_obj",
+            "report_from_obj", "bundle_from_obj"}
+
+
+def test_the_per_part_decoders_only_build():
+    """A per-part decoder neither branches nor refuses: each value checks
+    itself as it is built, and ``pack_from_obj`` refuses the rest by
+    encoding the parts again."""
+    defs = {node.name: node for node in ast.parse(inspect.getsource(serialize)).body
+            if isinstance(node, ast.FunctionDef) and node.name in DECODERS}
+    assert set(defs) == DECODERS
+    for name, node in defs.items():
+        branches = [type(n).__name__ for n in ast.walk(node)
+                    if isinstance(n, (ast.Raise, ast.If, ast.IfExp, ast.Try, ast.Assert))]
+        assert branches == [], name
 
 
 @pytest.fixture(scope="module")
@@ -185,18 +197,34 @@ def test_pack_with_report_counts_no_evaluation_gives_is_data_error(trained, edit
         pack_from_obj(obj)
 
 
+def shorten(encoded):
+    return encode_array(decode_array(encoded)[:-1])
+
+
+NOT_ITS_PARTS = "it is not what its decoded parts encode to"
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda bundle: bundle["distilled"].update(b2="0x1p+2000"), "OverflowError"),
-    (lambda bundle: bundle["profile"].update(dim=10**30),
-     "it is not what its decoded parts encode to"),
-], ids=["b2-overflows", "dim-not-the-catalogs"])
+    (lambda pack: pack["bundles"][0]["distilled"].update(b2="0x1p+2000"), "OverflowError"),
+    (lambda pack: pack["bundles"][0]["profile"].update(dim=10**30), NOT_ITS_PARTS),
+    (lambda pack: pack["bundles"][0]["distilled"].update(
+        b1=shorten(pack["bundles"][0]["distilled"]["b1"])), "parameter shapes are inconsistent"),
+    (lambda pack: pack["standardizer"].update(stds=shorten(pack["standardizer"]["stds"])),
+     "means/stds must be equal-length vectors"),
+    (lambda pack: pack["catalog"]["features"][1].update(
+        name=pack["catalog"]["features"][0]["name"]), "duplicate feature names"),
+    (lambda pack: pack["bundles"][0]["distilled"].update(kind="forest"), NOT_ITS_PARTS),
+], ids=["b2-overflows", "dim-not-the-catalogs", "W1-b1-shapes-disagree",
+        "means-stds-lengths-differ", "catalog-repeats-a-name", "kind-forest"])
 def test_pack_whose_bundle_cannot_be_built_is_data_error(trained, edit, message):
-    """A bias beyond a float, or a profile as wide as no catalog, is refused
-    under a valid digest; a bundle serves the catalog's profile of its name,
-    so no profile 10**30 wide, which would exhaust memory, is ever built."""
+    """A bias beyond a float, a profile as wide as no catalog, parameters or a
+    standardizer whose shapes disagree, a catalog that names a feature twice
+    and a model kind but ``mlp`` are refused under a valid digest; a bundle
+    serves the catalog's profile of its name, so no profile 10**30 wide,
+    which would exhaust memory, is ever built."""
     catalog, train, bundle, config = trained
     obj = pack_to_obj(catalog, train.standardizer, [bundle], config)
-    edit(obj["bundles"][0])
+    edit(obj)
     del obj["digest"]
     obj["digest"] = config_digest(obj)
     with pytest.raises(DataError, match=f"malformed model pack: .*{message}"):
@@ -262,6 +290,17 @@ FUZZ_VALUES = [None, True, -1, 0, 1e30, -1e300, math.nan, "x", [], {}, "0x1p+200
 RECIPE_KEYS = ("train_config", "lambda_grid", "privileged_inputs", "split_ratio")
 # in range for most fields of the recipe, so that an edit of it often trains
 IN_RANGE = [1, 2, 0.5, 1e-3]
+ARRAYS = ("W1", "b1", "w2", "means", "stds")
+ELEMENT_VALUES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, -1e300, 1e-300]
+
+
+def set_element(index, value):
+    """A map of an encoded array that sets its element ``index`` (modulo its size)."""
+    def edit(encoded):
+        a = decode_array(encoded).copy()
+        a.flat[index % a.size] = value
+        return encode_array(a)
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -295,17 +334,26 @@ def test_a_pack_with_any_one_leaf_re_signed_is_served_or_refused(served_pack, da
     """``predict`` on a pack with one leaf set to an odd value, re-signed,
     exits 0, 3 or 4 and never raises, whether a stored profile serves or the
     pack's recipe trains one on demand (a recipe leaf may also take a value
-    in range, so that it trains); a pack it serves decodes to bundles
-    whose fields mean what they say."""
+    in range, so that it trains); half the stored draws set one element of
+    a stored array, or a bias to a non-finite, instead; a pack it serves
+    decodes to bundles whose fields mean what they say."""
     obj, disclosures, data_options, pack = served_pack
     obj = copy.deepcopy(obj)
     on_demand = data.draw(st.booleans())  # then a leaf of the recipe it trains by
+    in_array = not on_demand and data.draw(st.booleans())
     leaves = [p for p in leaf_paths(obj) if p != ("digest",)
               and (not on_demand or p[0] in RECIPE_KEYS)]
+    if in_array:
+        leaves = [p[:-1] if p[-1] == "data" else p for p in leaves
+                  if p[-1] == "b2" or (p[-1] == "data" and p[-2] in ARRAYS)]
     path = data.draw(st.sampled_from(leaves))
     values = st.sampled_from(FUZZ_VALUES)
     if on_demand:
         values = st.one_of(values, st.sampled_from(IN_RANGE))
+    elif in_array and path[-1] == "b2":
+        values = st.sampled_from(["inf", "-inf", "nan"])
+    elif in_array:
+        values = st.builds(set_element, st.integers(0, 10**4), st.sampled_from(ELEMENT_VALUES))
     re_sign(obj, path, data.draw(values))
     save_json(pack, obj)
     code = run_command(["predict", "--model", str(pack), "--disclose", disclosures[on_demand],
