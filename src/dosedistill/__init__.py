@@ -47,11 +47,9 @@ from .feature_selection import (
 )
 from .models import (
     LinearModel,
-    MlpGradients,
     MlpModel,
     TrainConfig,
     fit_least_squares,
-    mlp_gradient,
     mlp_new,
     train_mlp,
 )

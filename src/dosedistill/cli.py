@@ -116,7 +116,7 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
             start_s, stop_s, step_s = spec.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
         else:
-            return tuple(sorted(float(v) for v in spec.split(",")))
+            return tuple(sorted(float(v) + 0.0 for v in spec.split(",")))  # -0 is 0
     except ValueError:
         raise bad from None
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
@@ -463,13 +463,16 @@ def _on_demand(args, disclosure: Disclosure, catalog, standardizer, config):
 
 
 def _cmd_predict(args) -> str:
+    if bool(args.data) != bool(args.schema):
+        missing = "--schema" if args.data else "--data"
+        raise ValueError(f"--data and --schema go together; {missing} is missing")
     catalog, standardizer, bundles, config = serialize.load_pack(args.model)
     disclosure = _parse_disclosure(args.disclose, catalog, standardizer)
     try:
         profile, exact = best_feasible([b.profile for b in bundles], disclosure)
         bundle = next(b for b in bundles if b.profile is profile)
     except NoFeasibleProfileError:
-        if not (args.data and args.schema):
+        if not args.data:
             raise NoFeasibleProfileError(
                 "no stored profile fits this disclosure; re-run with --data/--schema "
                 "to train one on demand"

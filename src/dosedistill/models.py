@@ -13,7 +13,7 @@ form a group, which runs its first-layer products at its own width; every
 other operation runs once over the whole stack. Nothing but the targets and
 the columns tells the K runs apart, and Adam is elementwise, so each member
 is bit for bit the model a lone run returns. ``train_mlp`` is its K = 1
-case, and ``mlp_gradient`` reads the same backward pass.
+case.
 """
 
 from __future__ import annotations
@@ -142,14 +142,6 @@ def mlp_new(d: int, hidden: int, seed: int) -> MlpModel:
     )
 
 
-@dataclass(frozen=True)
-class MlpGradients:
-    dW1: np.ndarray
-    db1: np.ndarray
-    dw2: np.ndarray
-    db2: float
-
-
 class _Flat:
     """The parameter sets (or gradients) of K members in one flat buffer.
 
@@ -242,25 +234,6 @@ def _backprop(p: _Flat, Xs: list[np.ndarray], T: np.ndarray, g: _Flat) -> np.nda
     for W1, (a, b), X in zip(g.W1, g.bounds, Xs):
         np.matmul(dh[a:b].transpose(0, 2, 1), X, out=W1)
     return loss
-
-
-def mlp_gradient(model: MlpModel, X, targets) -> MlpGradients:
-    """Exact analytic gradient of the batch mean-squared-error loss.
-
-    Computed by the training kernel's own backward pass, at K = 1.
-    """
-    X = _as_matrix(X)
-    targets = np.asarray(targets, dtype=float)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    if X.shape[1] != model.dim:
-        raise ValueError(f"model takes {model.dim} features, got {X.shape[1]}")
-    if targets.shape != (X.shape[0],):
-        raise ValueError(f"targets shape {targets.shape} != ({X.shape[0]},)")
-    p = _Flat.stack([model], [1])
-    g = p.like(np.empty_like(p.buf))
-    _backprop(p, [X], targets[None], g)
-    return MlpGradients(g.W1[0], g.b1[0], g.w2[0], float(g.b2[0]))
 
 
 @dataclass(frozen=True)
@@ -466,15 +439,4 @@ def train_mlp(X, targets, config: TrainConfig) -> MlpModel:
     The K = 1 case of ``train_mlp_stack``: deterministic, so two runs with
     identical inputs and config return parameter-identical models.
     """
-    X = _as_matrix(X)
-    t = np.asarray(targets, dtype=float)
-    if t.shape != (X.shape[0],):
-        raise ValueError(f"targets shape {t.shape} != ({X.shape[0]},)")
-    return train_mlp_stack(X, t[None], config)[0]
-
-
-def models_equal(a: MlpModel, b: MlpModel) -> bool:
-    if a.W1.shape != b.W1.shape:
-        return False
-    parts = ((a.W1, b.W1), (a.b1, b.b1), (a.w2, b.w2))
-    return all(np.array_equal(x, y) for x, y in parts) and a.b2 == b.b2
+    return train_mlp_stack(X, np.asarray(targets, dtype=float)[None], config)[0]

@@ -13,6 +13,7 @@ from dosedistill.dataset import (
     FeatureCategory,
     standardize,
 )
+from dosedistill.serialize import model_to_obj
 from dosedistill.synthetic import SyntheticSpec, generate_synthetic, write_dataset
 
 CATS = list(FeatureCategory)
@@ -42,6 +43,11 @@ def make_rows(M, y) -> EncodedRows:
     M = np.asarray(M, dtype=float)
     ids = np.array([f"r{i}" for i in range(M.shape[0])], dtype=object)
     return EncodedRows(ids, M, np.asarray(y, dtype=float))
+
+
+def same_model(a, b) -> bool:
+    """Bit-identical parameters, by their encodings: -0.0 is not 0.0 here."""
+    return model_to_obj(a) == model_to_obj(b)
 
 
 def write_synth(tmp_path, spec: SyntheticSpec, seed: int):

@@ -26,16 +26,11 @@ from dosedistill.distillation import (
 )
 from dosedistill.evaluation import evaluate_model, evaluate_predictions, mean_std
 from dosedistill.feature_selection import backward_attribute_elimination
-from dosedistill.models import (
-    TrainConfig,
-    fit_least_squares,
-    models_equal,
-    train_mlp,
-)
+from dosedistill.models import TrainConfig, fit_least_squares, train_mlp
 from dosedistill.profiles import default_catalog
 from dosedistill.synthetic import SyntheticSpec, synthetic_latents
 
-from conftest import make_cohort, write_synth
+from conftest import make_cohort, same_model, write_synth
 from test_models import gradient_check, pinv_solution
 
 
@@ -65,7 +60,7 @@ def test_criterion_1_lambda_zero_equivalence(tmp_path):
             plain = train_mlp(
                 train.X[:, list(profile.visible_features)], train.y, config.train
             )
-            assert models_equal(student, plain), profile.name  # exact equality
+            assert same_model(student, plain), profile.name  # exact equality
         assert time.monotonic() - start < 60.0
 
 
@@ -202,7 +197,7 @@ def test_criterion_6_temperature_pathology(tmp_path):
         _, unit_target, unit = fit(1.0)
 
         explicit = train_mlp(train.X[:, visible], hot_target, train_config)
-        assert models_equal(hot_student, explicit), (
+        assert same_model(hot_student, explicit), (
             "the T=50 student is not the plain fit on the blended target "
             "(1-lambda)*y + lambda*teacher/T: the temperature does not enter "
             "the objective as documented"

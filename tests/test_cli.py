@@ -4,6 +4,7 @@ import ast
 import copy
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -830,6 +831,47 @@ class TestTrainPredict:
         assert captured.out == ""
         assert captured.err.startswith(
             "error: malformed model pack: ValueError: profile 'Public patient' has two bundles"
+        )
+
+    @pytest.mark.parametrize("zero", ["-0", "-0.0", "-1e-400"])
+    def test_a_negative_zero_in_a_comma_grid_is_zero(self, zero):
+        assert math.copysign(1.0, cli._parse_grid(f"{zero},0.5")[0]) == 1.0
+
+    def test_a_negative_zero_lambda_is_written_as_zero(self, tmp_path, capsys):
+        data, schema = synth(tmp_path)
+        out = tmp_path / "m"
+        assert run_command([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(out), "--profile", "public", "--grid=-0", *FAST,
+        ]) == 0
+        assert "@ lambda 0;" in capsys.readouterr().out
+        assert [row[1] for row in read_rows(out / "sweep.csv")] == ["lambda", "0"]
+
+    def test_predict_data_without_schema_is_usage_error(self, public_pack, capsys):
+        """A stored profile serves this disclosure, and ``--data`` is still
+        refused without ``--schema``, before any file is read."""
+        header, first = read_rows(public_pack.parent / "data" / "data.csv")[:2]
+        pairs = ",".join(f"{col}={value}" for col, value in zip(header, first)
+                         if col not in ("patient_id", "weekly_dose_mg"))
+        argv = ["predict", "--model", str(public_pack), "--disclose", pairs]
+        assert run_command(argv) == 0
+        capsys.readouterr()
+        assert run_command([*argv, "--data", "missing.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --data and --schema go together; --schema is missing\n"
+        )
+
+    def test_predict_schema_without_data_is_usage_error(self, public_pack, capsys):
+        assert run_command([
+            "predict", "--model", str(public_pack), "--disclose", "demographic_1=0.3",
+            "--schema", "schema.json",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --data and --schema go together; --data is missing\n"
         )
 
     def test_train_public_writes_model_and_report(self, tmp_path):

@@ -15,15 +15,18 @@ from hypothesis import strategies as st
 import dosedistill
 from dosedistill.dataset import (
     Cohort,
+    Feature,
     FeatureCategory,
     StandardizationParams,
     _parse_schema,
+    fit_standardizer,
     load_and_validate,
     load_bytes,
     load_text,
     parse_and_validate,
     split_cohorts,
     standardize,
+    write_csv,
 )
 from dosedistill.errors import DataError
 from dosedistill.synthetic import (
@@ -625,3 +628,20 @@ def test_the_one_file_read_is_load_bytes():
         for where in _file_reads(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     ]
     assert reads == [("dataset.py", "load_bytes")]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: write_csv(tmp / "absent" / "out.csv", ["a"], [[1]]),
+         r"cannot write .*out\.csv: No such file or directory$"),
+        (lambda tmp: fit_standardizer(np.empty((0, 2)), make_catalog(2)),
+         "^standardizer fit subset is empty$"),
+        (lambda tmp: Feature("x", FeatureCategory.DEMOGRAPHIC, "numeric", {"a": 0}),
+         "^feature 'x': numeric feature with encoding map$"),
+    ],
+    ids=["write_csv-unwritable", "fit_standardizer-no-rows", "numeric-with-encoding"],
+)
+def test_refusals(tmp_path, call, message):
+    with pytest.raises(DataError, match=message):
+        call(tmp_path)

@@ -24,11 +24,11 @@ from dosedistill.distillation import (
 )
 from dosedistill.errors import DataError
 from dosedistill.evaluation import evaluate_model
-from dosedistill.models import MlpModel, TrainConfig, models_equal, train_mlp
+from dosedistill.models import MlpModel, TrainConfig, train_mlp
 from dosedistill.profiles import default_catalog
 from dosedistill.synthetic import SyntheticSpec
 
-from conftest import write_synth
+from conftest import same_model, write_synth
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ class TestPrivileged:
         config = DistillationConfig(train=fast_train(3))
         teacher = train_privileged(train, profiles.public, config)
         plain = train_mlp(train.X, train.y, config.train)
-        assert models_equal(teacher, plain)
+        assert same_model(teacher, plain)
 
     def test_redacted_only_input_dim(self, cohorts):
         catalog, train, _ = cohorts
@@ -120,7 +120,7 @@ class TestPrivileged:
         assert privileged_feature_indices(public, config.privileged_inputs) == tuple(
             range(catalog.d)
         )
-        assert models_equal(
+        assert same_model(
             train_privileged(train, public, config),
             train_privileged(train, public, all_features),
         )
@@ -140,7 +140,7 @@ class TestDistilled:
             plain = train_mlp(
                 train.X[:, list(profile.visible_features)], train.y, config.train
             )
-            assert models_equal(student, plain)  # exact equality
+            assert same_model(student, plain)  # exact equality
 
     def test_lambda_one_constant_teacher_converges_to_constant(self, cohorts):
         catalog, train, _ = cohorts
@@ -214,7 +214,7 @@ class TestSweepProfiles:
             )
             assert points == ref_points, profile.name
             assert best.lam == ref_best.lam
-            assert models_equal(best.distilled, ref_best.distilled), profile.name
+            assert same_model(best.distilled, ref_best.distilled), profile.name
 
     def test_pool_returns_the_sequential_results_in_order(self, cohorts):
         catalog, train, valid = cohorts
@@ -227,7 +227,7 @@ class TestSweepProfiles:
         for (points1, best1), (points2, best2) in zip(one, two):
             assert points1 == points2
             assert best1.lam == best2.lam and best1.metrics == best2.metrics
-            assert models_equal(best1.distilled, best2.distilled)
+            assert same_model(best1.distilled, best2.distilled)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_profiles, jobs, pools", [
@@ -297,7 +297,7 @@ class TestSweep:
         plain = train_mlp(
             train.X[:, list(profile.visible_features)], train.y, config.train
         )
-        assert models_equal(best.distilled, plain)
+        assert same_model(best.distilled, plain)
         assert best.metrics == points[0][1]
 
     def test_deterministic(self, cohorts):
@@ -317,7 +317,7 @@ class TestSweep:
             (l, r.mae) for l, r in again_points
         ]
         assert first_best.lam == again_best.lam
-        assert models_equal(first_best.distilled, again_best.distilled)
+        assert same_model(first_best.distilled, again_best.distilled)
 
     def test_best_ties_to_smaller_lambda(self, cohorts):
         catalog, train, valid = cohorts

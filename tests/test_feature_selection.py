@@ -5,7 +5,11 @@ import pytest
 
 from dosedistill import feature_selection
 from dosedistill.dataset import standardize
-from dosedistill.feature_selection import backward_attribute_elimination, subset_score
+from dosedistill.feature_selection import (
+    BaeResult,
+    backward_attribute_elimination,
+    subset_score,
+)
 
 from conftest import make_cohort
 
@@ -261,3 +265,21 @@ class TestFoldStats:
                 assert np.array_equal(fold.y, cohort.y[fold.rows])
                 # the layout a fresh gather has, so the products keep their bits
                 assert fold.X.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: backward_attribute_elimination(linear_cohort(seed=0), protected={1, 3}),
+         r"^protected indices out of range: \[3\]$"),
+        (lambda: backward_attribute_elimination(linear_cohort(seed=0), protected={-1}),
+         r"^protected indices out of range: \[-1\]$"),
+        (lambda: BaeResult(kept=(0, 2), removed=((2, 1.5), (1, 2.0)), trace=(),
+                           baseline_score=1.0),
+         r"^features both kept and removed: \[2\]$"),
+    ],
+    ids=["protected-above-range", "protected-negative", "bae-result-overlap"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,16 +10,17 @@ from dosedistill import models
 from dosedistill.errors import DataError, TrainingDivergedError
 from dosedistill.models import (
     LSQ_DAMPING,
+    LinearModel,
     MlpModel,
     TrainConfig,
     fit_least_squares,
-    mlp_gradient,
     mlp_new,
-    models_equal,
     train_mlp,
     train_mlp_stack,
 )
 from dosedistill.serialize import model_from_obj, model_to_obj
+
+from conftest import same_model
 
 
 def pinv_solution(X, y):
@@ -65,8 +66,6 @@ class TestLeastSquares:
             )
 
     def test_predict_linear_cases(self):
-        from dosedistill.models import LinearModel
-
         assert LinearModel(np.array([2.0]), 0.0).predict([[3.0]])[0] == 6.0
         assert LinearModel(np.zeros(3), 5.5).predict([[9, 9, 9]])[0] == 5.5
         assert LinearModel(np.array([1.0, -1.0]), 1.0).predict([[2, 2]])[0] == 1.0
@@ -77,7 +76,7 @@ class TestLeastSquares:
 class TestMlpBasics:
     def test_new_deterministic(self):
         a, b = mlp_new(7, 5, seed=3), mlp_new(7, 5, seed=3)
-        assert models_equal(a, b)
+        assert same_model(a, b)
 
     def test_new_shapes_and_bounds(self):
         m = mlp_new(33, 32, seed=0)
@@ -103,24 +102,30 @@ class TestMlpBasics:
             mlp_new(3, 2, 0).predict([[1.0, 2.0]])
 
 
+def gradient(model: MlpModel, X, targets) -> tuple:
+    """``(dW1, db1, dw2, db2)`` of the batch MSE, by the training kernel's
+    own backward pass on a one-member stack."""
+    p = models._Flat.stack([model], [1])
+    g = p.like(np.empty_like(p.buf))
+    T = np.asarray(targets, dtype=float)[None]
+    models._backprop(p, [np.asarray(X, dtype=float)], T, g)
+    return g.member(0)
+
+
 class TestGradient:
     def test_zero_model_output_bias_gradient(self):
         m = MlpModel(np.zeros((2, 1)), np.zeros(2), np.zeros(2), 0.0)
-        g = mlp_gradient(m, [[1.0]], [4.0])
-        assert g.db2 == -8.0  # 2 * (0 - 4)
-        assert np.all(g.dW1 == 0) and np.all(g.dw2 == 0) and np.all(g.db1 == 0)
+        dW1, db1, dw2, db2 = gradient(m, [[1.0]], [4.0])
+        assert db2 == -8.0  # 2 * (0 - 4)
+        assert np.all(dW1 == 0) and np.all(dw2 == 0) and np.all(db1 == 0)
 
     def test_identical_rows_equal_single_row(self):
         m = mlp_new(3, 4, seed=1)
         X = np.array([[0.3, -1.2, 0.7]])
-        g1 = mlp_gradient(m, X, [2.0])
-        g3 = mlp_gradient(m, np.repeat(X, 3, axis=0), [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(g1.dW1, g3.dW1, atol=1e-14)
-        assert g1.db2 == pytest.approx(g3.db2, abs=1e-14)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            mlp_gradient(mlp_new(2, 2, 0), np.empty((0, 2)), [])
+        dW1, _, _, db2 = gradient(m, X, [2.0])
+        dW1_3, _, _, db2_3 = gradient(m, np.repeat(X, 3, axis=0), [2.0, 2.0, 2.0])
+        np.testing.assert_allclose(dW1, dW1_3, atol=1e-14)
+        assert db2 == pytest.approx(db2_3, abs=1e-14)
 
     def test_against_central_finite_differences(self):
         max_rel = gradient_check(n_cases=100, seed=2024)
@@ -148,7 +153,7 @@ def gradient_check(n_cases: int, seed: int) -> float:
         )
         X = rng.uniform(-2, 2, (b, d))
         t = rng.uniform(-3, 3, b)
-        ana = mlp_gradient(model, X, t)
+        ana = gradient(model, X, t)
         pre = X @ model.W1.T + model.b1  # b x hidden
 
         def loss(W1, b1, w2, b2):
@@ -157,7 +162,7 @@ def gradient_check(n_cases: int, seed: int) -> float:
 
         params = [model.W1.copy(), model.b1.copy(), model.w2.copy(),
                   np.array([model.b2])]
-        grads = [ana.dW1, ana.db1, ana.dw2, np.array([ana.db2])]
+        grads = [*ana[:3], np.array([ana[3]])]
         for k, (p, g) in enumerate(zip(params, grads)):
             flat_p, flat_g = p.ravel(), g.ravel()
             for i in range(flat_p.size):
@@ -183,7 +188,7 @@ class TestTraining:
         X = rng.standard_normal((60, 4))
         y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + 30
         cfg = TrainConfig(seed=5, max_epochs=40, patience=10)
-        assert models_equal(train_mlp(X, y, cfg), train_mlp(X, y, cfg))
+        assert same_model(train_mlp(X, y, cfg), train_mlp(X, y, cfg))
 
     def test_fits_noiseless_linear_data(self):
         rng = np.random.default_rng(3)
@@ -264,7 +269,7 @@ class TestStack:
         stacked = train_mlp_stack(X, T, cfg)
         assert len(stacked) == len(T)
         for k, model in enumerate(stacked):
-            assert models_equal(model, train_mlp(X, T[k], cfg)), f"member {k}"
+            assert same_model(model, train_mlp(X, T[k], cfg)), f"member {k}"
 
     def test_one_diverging_member_raises(self):
         X, T = stopping_targets()
@@ -297,6 +302,8 @@ class TestStack:
             train_mlp_stack(X, T[:, :-1], TrainConfig(seed=0))
         with pytest.raises(ValueError, match="targets shape"):
             train_mlp_stack(X, T[0], TrainConfig(seed=0))
+        with pytest.raises(ValueError, match="targets shape"):
+            train_mlp(X, T[0, :-1], TrainConfig(seed=0))
 
 
 def grouped_targets():
@@ -337,7 +344,7 @@ class TestGroupedStack:
         assert any(0 < len(layout) < 3 for layout in layouts)
         assert len(grouped) == len(T)
         for k, (model, cols) in enumerate(zip(grouped, columns)):
-            assert models_equal(model, train_mlp(X[:, list(cols)], T[k], cfg)), f"member {k}"
+            assert same_model(model, train_mlp(X[:, list(cols)], T[k], cfg)), f"member {k}"
 
     def test_a_diverging_member_raises_at_its_own_epoch(self):
         """Two fit rows whose squared errors each fit in a float overflow
@@ -366,3 +373,41 @@ class TestSerialization:
         assert np.array_equal(m.b1, back.b1)
         assert np.array_equal(m.w2, back.w2)
         assert m.b2 == back.b2
+
+
+def _held_out_overflow():
+    """A target of 1e300 on the one held-out row: every training loss is
+    finite, and the first held-out loss overflows."""
+    X, T = stopping_targets()
+    X, t = X[:10], T[0, :10].copy()
+    cfg = TrainConfig(seed=4)
+    # the held-out row is the last of the split's shuffle, as in train_mlp_stack
+    t[np.random.default_rng(cfg.seed + 1).permutation(10)[-1]] = 1e300
+    train_mlp(X, t, cfg)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: mlp_new(2, 2, 0).predict([1.0, 2.0]),
+         ValueError, r"^expected a 2-D row matrix, got shape \(2,\)$"),
+        (lambda: LinearModel(np.array([1.0, np.nan]), 0.0),
+         DataError, "^linear model has non-finite coefficients$"),
+        (lambda: LinearModel(np.ones(2), float("inf")),
+         DataError, "^linear model has non-finite coefficients$"),
+        (lambda: fit_least_squares(np.empty((0, 2)), np.empty(0)),
+         ValueError, "^need at least one row$"),
+        (lambda: fit_least_squares([[1.0], [np.inf]], [1.0, 2.0]),
+         DataError, "^least-squares inputs must be finite$"),
+        (lambda: fit_least_squares([[1.0], [2.0]], [1.0, np.nan]),
+         DataError, "^least-squares inputs must be finite$"),
+        (lambda: mlp_new(0, 2, 0), ValueError, "^d and hidden must be >= 1$"),
+        (lambda: TrainConfig(hidden=0), ValueError, "^hidden must be >= 1$"),
+        (_held_out_overflow, TrainingDivergedError, "^non-finite held-out loss at epoch 1$"),
+    ],
+    ids=["as-matrix-1d", "linear-nan-alpha", "linear-inf-beta", "lsq-no-rows",
+         "lsq-inf-x", "lsq-nan-y", "mlp-new-d0", "config-hidden-0", "held-out-overflow"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -14,13 +14,14 @@ from dosedistill.models import TrainConfig
 from dosedistill.profiles import (
     Disclosure,
     Profile,
+    ProfileCatalog,
     best_feasible,
     default_catalog,
     train_on_demand,
 )
 from dosedistill.synthetic import SyntheticSpec
 
-from conftest import make_catalog, write_synth
+from conftest import make_catalog, make_cohort, write_synth
 
 CAT = FeatureCategory
 
@@ -173,3 +174,32 @@ class TestTrainOnDemand:
         bundle = train_on_demand(train, valid, disclosure_of(range(10)), config)
         assert time.monotonic() - start < 60.0
         assert bundle.profile.visible_features == tuple(range(10))
+
+
+def _public(name):
+    return Profile(name, frozenset(), frozenset(), 3)
+
+
+def _on_demand_out_of_range():
+    cohort = make_cohort(np.eye(3), [1.0, 2.0, 3.0])
+    train_on_demand(cohort, cohort, Disclosure({0: 0.0, 4: 1.0}), DistillationConfig())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Profile("p", frozenset(), frozenset({0, 3}), 3),
+         r"^profile 'p': indices out of range: \[3\]$"),
+        (lambda: ProfileCatalog(()), "^profile catalog is empty$"),
+        (lambda: ProfileCatalog((_public("a"), _public("a"))),
+         "^profile names must be unique$"),
+        (lambda: ProfileCatalog((Profile("closed", frozenset(), frozenset({0}), 3),)),
+         "^first profile must be the all-disclosing one$"),
+        (_on_demand_out_of_range, r"^disclosure indices out of range for d=3: \[4\]$"),
+    ],
+    ids=["profile-index", "catalog-empty", "catalog-repeated-name",
+         "catalog-first-not-public", "on-demand-index"],
+)
+def test_refusals(call, message):
+    with pytest.raises(DataError, match=message):
+        call()
