@@ -304,11 +304,10 @@ def _cmd_profiles_list(args) -> str:
     return "\n".join([header, "-" * len(header), *rows])
 
 
-def _write_table(path: Path, header: Sequence[str], rows) -> None:
-    """A CSV with one header row; floats are written with six significant digits."""
-    write_csv(path, header, (
-        [f"{v:.6g}" if isinstance(v, float) else v for v in row] for row in rows
-    ))
+def _write_table(path: Path, header: Sequence[str], labels: int, rows) -> None:
+    """A CSV with one header row: ``labels`` text columns, then numbers written
+    with six significant digits."""
+    write_csv(path, header, ["%s"] * labels + ["%.6g"] * (len(header) - labels), rows)
 
 
 def _cmd_train(args) -> str:
@@ -329,9 +328,10 @@ def _cmd_train(args) -> str:
     _write_table(
         out / "sweep.csv",
         ["profile", "lambda", "mae", "mape", "sw", "under", "over"],
+        1,
         (
-            [best.profile.name, f"{lam:g}", rep.mae, rep.mape,
-             rep.within_pct, rep.under_pct, rep.over_pct]
+            (best.profile.name, lam, rep.mae, rep.mape,
+             rep.within_pct, rep.under_pct, rep.over_pct)
             for points, best in swept
             for lam, rep in points
         ),
@@ -371,6 +371,7 @@ def _cmd_evaluate(args) -> str:
     _write_table(
         out / "accuracy.csv",
         ["model", "profile", "mae", "mae_std", "mape", "mape_std"],
+        2,
         ([*key, *arm["mae"], *arm["mape"]] for key, arm in stats.items()),
     )
     window = ("under", "within", "over")
@@ -378,6 +379,7 @@ def _cmd_evaluate(args) -> str:
         out / "safety.csv",
         ["model", "profile", "under_pct", "within_pct", "over_pct",
          "under_std", "within_std", "over_std"],
+        2,
         ([*key, *(arm[s][i] for i in (0, 1) for s in window)] for key, arm in stats.items()),
     )
     return (

@@ -2,7 +2,10 @@
 
 Every file the package reads or writes goes through this module, so it alone
 fixes the CSV dialect (``write_csv``, ``parse_and_validate``) and the JSON
-layout (``save_json``); ``load_bytes`` is its one read.
+layout (``save_json``); ``load_bytes`` is its one read. ``write_csv`` writes
+every CSV, one ``%`` template per row joined from per-column codes, and
+``csv.writer`` alone decides quoting: a row that could be misread is written
+through it.
 
 The on-disk format is a plain CSV with a header row plus a sidecar schema
 JSON declaring, per column, the feature category and kind::
@@ -248,13 +251,30 @@ def save_json(path: str | Path, obj: Any) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and ``rows`` as a UTF-8 CSV with bare-newline line ends."""
+def write_csv(
+    path: str | Path, header: Sequence[str], codes: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write ``header`` and ``rows`` as a UTF-8 CSV with bare-newline line ends.
+
+    Each row is one ``%`` template, joined from one code per column (``"%s"``,
+    ``"%.6f"``, ...), so no cell is a string of its own. ``csv.writer`` decides
+    all quoting: a line that could be misread (a comma, quote, ``\\r`` or
+    newline inside a cell, or a lone empty field) is written through it, from
+    the same cells formatted one by one.
+    """
+    template = ",".join(codes) + "\n"
+    commas = len(codes) - 1
     try:
         with Path(path).open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            for row in rows:
+                line = template % tuple(row)
+                if (line.count(",") != commas or line.count("\n") != 1 or line == "\n"
+                        or '"' in line or "\r" in line):
+                    writer.writerow([code % cell for code, cell in zip(codes, row)])
+                else:
+                    handle.write(line)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -481,7 +501,9 @@ def split_cohorts(
 
 def cohort_to_csv(cohort: Cohort, path: str | Path) -> None:
     """Dump the encoded, standardized matrix for inspection."""
-    write_csv(path, ["id", *cohort.catalog.names, "weekly_dose_mg"], (
-        [rec_id, *(f"{v:.10g}" for v in x), f"{y:.10g}"]
-        for rec_id, x, y in zip(cohort.ids, cohort.X, cohort.y)
+    names = cohort.catalog.names
+    codes = ["%s"] + ["%.10g"] * (len(names) + 1)
+    write_csv(path, ["id", *names, "weekly_dose_mg"], codes, (
+        (rec_id, *x.tolist(), y)
+        for rec_id, x, y in zip(cohort.ids.tolist(), cohort.X, cohort.y.tolist())
     ))

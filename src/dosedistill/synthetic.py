@@ -148,16 +148,18 @@ def _generate(spec: SyntheticSpec, seed: int):
 def _bin_labels(column: np.ndarray) -> list[str]:
     nd = NormalDist()
     thresholds = [nd.inv_cdf(k / CATEGORICAL_LEVELS) for k in range(1, CATEGORICAL_LEVELS)]
-    codes = np.searchsorted(thresholds, column)
-    return [chr(ord("A") + int(c)) for c in codes]
+    labels = [chr(ord("A") + k) for k in range(CATEGORICAL_LEVELS)]
+    return [labels[c] for c in np.searchsorted(thresholds, column).tolist()]
 
 
-def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[dict[str, list[str]], dict]:
-    """Generate CSV-ready string columns plus the matching schema manifest.
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[dict[str, list], dict]:
+    """Generate the dataset's columns plus the matching schema manifest.
 
     The columns are in file order: the id, the features in schema order, then
-    the dose. A pure function of ``(spec, seed)``: identical inputs produce
-    identical columns, byte for byte once written.
+    the dose. Ids and categorical labels are strings; numeric features and the
+    dose are floats, which ``write_dataset`` writes with six decimals. A pure
+    function of ``(spec, seed)``: identical inputs produce identical columns,
+    byte for byte once written.
     """
     layout, latent, _, _, dose = _generate(spec, seed)
     columns = {ID_COLUMN: [f"p{i:05d}" for i in range(spec.n)]}
@@ -165,8 +167,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[dict[str, list[s
         if kind == KIND_CATEGORICAL:
             columns[name] = _bin_labels(latent[:, j])
         else:
-            columns[name] = [f"{v:.6f}" for v in latent[:, j]]
-    columns[TARGET_COLUMN] = [f"{v:.6f}" for v in dose]
+            columns[name] = latent[:, j].tolist()
+    columns[TARGET_COLUMN] = dose.tolist()
 
     schema = {
         "target": TARGET_COLUMN,
@@ -187,10 +189,15 @@ def synthetic_latents(spec: SyntheticSpec, seed: int) -> SyntheticLatents:
 
 
 def write_dataset(
-    columns: Mapping[str, list[str]],
+    columns: Mapping[str, list],
     schema: dict,
     data_path: str | Path,
     schema_path: str | Path,
 ) -> None:
-    write_csv(data_path, list(columns), zip(*columns.values()))
+    """Write ``generate_synthetic``'s columns and schema; the schema's numeric
+    features and its target are written with six decimals."""
+    numeric = {f["name"] for f in schema["features"] if f["kind"] == KIND_NUMERIC}
+    numeric.add(schema["target"])
+    codes = ["%.6f" if name in numeric else "%s" for name in columns]
+    write_csv(data_path, list(columns), codes, zip(*columns.values()))
     save_json(schema_path, schema)

@@ -289,6 +289,7 @@ def test_criterion_8_real_data_reproduction():
 CRITERION_9_SHA256 = {
     "d/data.csv": "523616d03a3a2c8e5dfd571fba1d4bf8d662f29a99d99a9394a5bde94cd6efeb",
     "d/schema.json": "93e7de6f916a8b07f7ba00112568b4e9bdec9378561831266b32eef2b588c523",
+    "e/encoded.csv": "83eecbe5946c3150af9665dba5e51c9b68cf84cc3119f548cc52778e0cd61a43",
     "m/pack.json": "64a05d16007a3d072fc71f2012717036115f084fc234c524f963a1fb91d04950",
     "m/report.json": "89155816a962faa84c305c3ee17534ab9e6424f6a6302499e555b1156fb12036",
     "m/sweep.csv": "b1b67d91ec83ae4aa000163eaea2dc84b416f3d11c7608c72a008ecbe34b9fe2",
@@ -304,6 +305,13 @@ def test_criterion_9_pipeline_determinism_and_runtime(tmp_path):
             assert run_command(
                 ["synth", "--out", str(base / "d"), "--seed", "5"]
             ) == 0
+            assert run_command([
+                "prepare",
+                "--data", str(base / "d" / "data.csv"),
+                "--schema", str(base / "d" / "schema.json"),
+                "--out", str(base / "e"),
+                "--dump-encoded",
+            ]) == 0
             assert run_command([
                 "train",
                 "--data", str(base / "d" / "data.csv"),

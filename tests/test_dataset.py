@@ -381,7 +381,10 @@ class TestSynthetic:
             writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
             writer.writeheader()
             for i in range(spec.n):
-                writer.writerow({name: column[i] for name, column in columns.items()})
+                writer.writerow({
+                    name: f"{column[i]:.6f}" if isinstance(column[i], float) else column[i]
+                    for name, column in columns.items()
+                })
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_genotypic_features_are_the_privileged_three_level_columns(self):
@@ -456,6 +459,42 @@ def test_split_partition_property(n, ratio, seed):
     ids = sorted([*train.ids, *valid.ids])
     assert ids == sorted(records.ids)
     assert len(train) >= 1 and len(valid) >= 1
+
+
+CSV_CODES = ["%s", "%.6f", "%.10g", "%.6g"]
+CSV_TEXT = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a,b", 'say "hi"', " x ", "é,ü"]),
+    st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "\t", "a", "1", "é", "\u2028"]),
+            max_size=6),
+)
+CSV_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324]), st.floats())
+
+
+@st.composite
+def csv_tables(draw):
+    """Per-column codes, a header and rows whose cells fit their codes: text
+    with commas, quotes, ``\\r``, newlines, empty and non-ASCII cells, and
+    floats from ``-0.0`` to ``1e300``, ``nan`` and ``inf``."""
+    codes = draw(st.lists(st.sampled_from(CSV_CODES), min_size=1, max_size=4))
+    header = draw(st.lists(CSV_TEXT, min_size=len(codes), max_size=len(codes)))
+    rows = draw(st.lists(
+        st.tuples(*(CSV_TEXT if code == "%s" else CSV_FLOATS for code in codes)),
+        max_size=8,
+    ))
+    return codes, header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables())
+def test_write_csv_equals_csv_writer_on_cells_formatted_one_by_one(tmp_path_factory, table):
+    codes, header, rows = table
+    path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+    write_csv(path, header, codes, iter(rows))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([code % cell for code, cell in zip(codes, row)] for row in rows)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def reference_parse(schema: dict, data: bytes, path: str):
@@ -633,7 +672,7 @@ def test_the_one_file_read_is_load_bytes():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda tmp: write_csv(tmp / "absent" / "out.csv", ["a"], [[1]]),
+        (lambda tmp: write_csv(tmp / "absent" / "out.csv", ["a"], ["%s"], [[1]]),
          r"cannot write .*out\.csv: No such file or directory$"),
         (lambda tmp: fit_standardizer(np.empty((0, 2)), make_catalog(2)),
          "^standardizer fit subset is empty$"),
